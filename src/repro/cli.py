@@ -58,11 +58,11 @@ requested member (``"<member>+refine"`` for legacy names, ``"<spec>|refine"``
 for pipeline specs; ``--refine-budget`` bounds the move proposals per
 schedule, ``--refine-strategy hill|anneal`` picks the search strategy).
 
-The ``experiment`` and ``portfolio`` commands submit through the parallel
-experiment engine: ``--workers N`` fans instances out over N processes,
-``--cache-dir DIR`` caches results on disk (a repeated invocation performs
-zero solver calls), and ``--results FILE.jsonl`` / ``--resume`` stream
-results and resume interrupted sweeps.  Add ``--node-limit`` to bound ILP
+The ``experiment``, ``portfolio`` and ``exec`` commands run on one
+:class:`repro.exec.Session`: ``--workers N`` fans instances out over N
+processes, ``--cache-dir DIR`` caches results on disk (a repeated invocation
+performs zero solver calls), and ``--results FILE.jsonl`` / ``--resume``
+stream results and resume interrupted sweeps.  Add ``--node-limit`` to bound ILP
 solves by branch-and-bound nodes instead of wall clock when a sweep must be
 exactly reproducible regardless of machine load.
 
@@ -404,10 +404,10 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_engine(args: argparse.Namespace):
-    from repro.experiments.parallel import ExperimentEngine
+def _make_session(args: argparse.Namespace):
+    from repro.exec import Session
 
-    return ExperimentEngine(
+    return Session(
         workers=args.workers,
         cache_dir=args.cache_dir,
         results_path=args.results,
@@ -427,10 +427,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.runner import ExperimentConfig
     from repro.experiments.tables import table1, table2, table4
 
-    engine = _make_engine(args)
+    session = _make_session(args)
     progress = _make_progress(args)
     if progress is not None:
-        progress.attach(engine.session)
+        progress.attach(session)
     refine_kwargs = (
         {"refine": _refine_config_from_args(args)} if args.refine else {}
     )
@@ -441,7 +441,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         **refine_kwargs,
     )
     if args.table == 1:
-        results = table1(config=config, limit=args.limit, engine=engine)
+        results = table1(config=config, limit=args.limit, session=session)
         print(format_results_table(results, "Table 1", paper_reference.TABLE1))
     elif args.table == 2:
         results = table2(limit=args.limit,
@@ -450,10 +450,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                                                  ilp_node_limit=args.node_limit,
                                                  **_backend_kwargs(args),
                                                  **refine_kwargs),
-                         engine=engine)
+                         session=session)
         print(format_results_table(results, "Table 2", paper_reference.TABLE2))
     elif args.table == 4:
-        by_config = table4(base_config=config, limit=args.limit, engine=engine)
+        by_config = table4(base_config=config, limit=args.limit, session=session)
         for name, results in by_config.items():
             ref = paper_reference.TABLE4.get(name, paper_reference.TABLE1)
             print(format_results_table(results, f"Table 4 [{name}]", ref))
@@ -462,7 +462,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise SystemExit("only tables 1, 2 and 4 are runnable from the CLI")
     if progress is not None:
         progress.close()
-    print(f"engine: {engine.stats.describe()}")
+    print(f"engine: {session.stats.describe()}")
     return 0
 
 
@@ -531,9 +531,9 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             resolved[variant] = resolve_member(variant)
     dags = (tiny_dataset(scale=args.scale, limit=args.limit) if args.which == "tiny"
             else small_dataset(scale=args.scale, limit=args.limit))
-    engine = _make_engine(args)
+    session = _make_session(args)
     # only thread the refine knobs into the config (and therefore into the
-    # engine's job hashes) when a refined member actually consumes them, so
+    # job hashes) when a refined member actually consumes them, so
     # that runs without refined members keep cache keys independent of the
     # knobs.  (With refined members present the knobs are part of every job
     # hash by design — ExperimentConfig.refine is covered by the content
@@ -573,7 +573,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         history=history,
         selector=args.selector,
     )
-    rows = portfolio.run(members, dags, engine=engine)
+    rows = portfolio.run(members, dags, session=session)
     print(format_portfolio_table(
         rows, reuse=portfolio.last_reuse, selection=portfolio.last_selection
     ))
@@ -589,7 +589,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     else:
         print(f"bound pruning: {pruned} ILP solve(s) skipped (gap {prune_gap:g})")
     print(f"ilp backend: {config.ilp_backend}")
-    print(f"engine: {engine.stats.describe()}")
+    print(f"engine: {session.stats.describe()}")
     return 0
 
 
@@ -863,12 +863,7 @@ def _exec_run_body(args: argparse.Namespace) -> int:
               f"(+ the same spec/dataset flags)")
         return 0
 
-    session = Session(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        results_path=args.results,
-        resume=args.resume,
-    )
+    session = _make_session(args)
     if progress is not None:
         progress.attach(session)
     results = [None] * len(plan)
@@ -1140,6 +1135,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_ILP_BACKEND or 'scipy'; 'auto' picks "
                             "per model by size/structure)")
 
+    def add_time_limit_argument(p: argparse.ArgumentParser) -> None:
+        # None resolves in parse_args, so every command shares one default
+        p.add_argument("--time-limit", type=float, default=None,
+                       help="seconds per ILP solve (default: "
+                            "REPRO_ILP_TIME_LIMIT or 10)")
+
     def add_refine_arguments(p: argparse.ArgumentParser, with_switch: bool = True) -> None:
         from repro.refine import RefineConfig
 
@@ -1167,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cache size as a multiple of r0")
         p.add_argument("--g", type=float, default=1.0)
         p.add_argument("--latency", "-L", type=float, default=10.0)
-        p.add_argument("--time-limit", type=float, default=10.0)
+        add_time_limit_argument(p)
         add_backend_argument(p)
         p.add_argument("--asynchronous", action="store_true",
                        help="optimise the asynchronous cost")
@@ -1289,9 +1290,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "distinct-job execution (TTY only)")
     serve_bench.set_defaults(func=_cmd_serve_bench)
 
-    def add_engine_arguments(p: argparse.ArgumentParser) -> None:
+    def add_session_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the experiment engine (1 = serial)")
+                       help="worker processes for the session (1 = serial)")
         p.add_argument("--cache-dir", default=None,
                        help="on-disk result cache; repeated runs become free")
         p.add_argument("--results", default=None,
@@ -1307,9 +1308,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run one of the paper's table experiments")
     exp.add_argument("--table", type=int, choices=[1, 2, 4], default=1)
     exp.add_argument("--limit", type=int, default=None, help="only the first N instances")
-    exp.add_argument("--time-limit", type=float, default=5.0)
+    add_time_limit_argument(exp)
     add_backend_argument(exp)
-    add_engine_arguments(exp)
+    add_session_arguments(exp)
     add_refine_arguments(exp)
     exp.add_argument("--progress", action="store_true",
                      help="live stderr progress line (TTY only)")
@@ -1337,7 +1338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--limit", type=int, default=None,
                        help="only the first N instances")
         p.add_argument("--processors", "-p", type=int, default=4)
-        p.add_argument("--time-limit", type=float, default=5.0)
+        add_time_limit_argument(p)
         add_backend_argument(p)
         p.add_argument("--budget", type=float, default=None,
                        help="wall-clock budget in seconds applied to every "
@@ -1349,7 +1350,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "incumbents)")
         p.add_argument("--no-prune", action="store_true",
                        help="disable bound-aware pruning")
-        add_engine_arguments(p)
+        add_session_arguments(p)
         add_refine_arguments(p, with_switch=False)
 
     exec_run = exec_sub.add_parser(
@@ -1575,7 +1576,7 @@ def build_parser() -> argparse.ArgumentParser:
     port.add_argument("--scale", choices=["default", "paper"], default="default")
     port.add_argument("--limit", type=int, default=None, help="only the first N instances")
     port.add_argument("--processors", "-p", type=int, default=4)
-    port.add_argument("--time-limit", type=float, default=5.0)
+    add_time_limit_argument(port)
     add_backend_argument(port)
     port.add_argument("--prune-gap", type=float, default=0.0,
                       help="skip ILP members whose baseline is provably within "
@@ -1599,15 +1600,25 @@ def build_parser() -> argparse.ArgumentParser:
     port.add_argument("--selector", choices=["greedy", "knn"],
                       default="greedy",
                       help="adaptive ranking model (default greedy)")
-    add_engine_arguments(port)
+    add_session_arguments(port)
     add_refine_arguments(port)
     port.set_defaults(func=_cmd_portfolio)
     return parser
 
 
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """Parse ``argv``; an omitted ``--time-limit`` takes the configuration
+    default (:attr:`ExperimentConfig.ilp_time_limit`)."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "time_limit", 0.0) is None:
+        from repro.experiments.runner import ExperimentConfig
+
+        args.time_limit = ExperimentConfig().ilp_time_limit
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     return args.func(args)
 
 

@@ -5,8 +5,8 @@ sweeps and individual pipelines are all :class:`RunPlan`\\ s — job graphs of
 pipeline-stage nodes — run on an asyncio core with bounded worker slots and
 streaming :class:`ResultEvent`\\ s.  The content-hash result cache, JSONL
 streaming + resume, and in-pipeline concurrency slots (used by ``race``
-stages) are session services; the legacy ``ExperimentEngine`` and
-``Portfolio`` entry points are thin shims over a session.  Plans also
+stages) are session services; ``Portfolio.run``, ``run_dataset`` and
+the table/figure functions all take a ``session=``.  Plans also
 split across processes or machines (:mod:`repro.exec.shard`):
 ``Session.run_sharded(plan, shards)`` fork-joins locally, and the CLI's
 ``repro exec run --shards N --shard-id I`` / ``repro exec merge`` pair

@@ -5,12 +5,12 @@ wrapping one picklable :class:`~repro.experiments.parallel.ExperimentJob`
 (the existing unit of work: kind + DAG + config + params) plus optional
 ``after=(node_id, ...)`` ordering edges.  The session executes ready nodes
 concurrently under its worker slots, respecting the edges; results are
-always *returned* in plan order, so a plan without edges behaves exactly
-like the historical engine batch.
+always *returned* in plan order, so a plan without edges is a plain batch
+whose results line up with its jobs.
 
 Builders:
 
-* :meth:`RunPlan.from_jobs` — one node per job, no edges (the engine shim);
+* :meth:`RunPlan.from_jobs` — one node per job, no edges (a job batch);
 * :func:`plan_pipelines` — the ``specs x dags`` fan-out used by the
   portfolio and ``repro exec run``: one ``portfolio``-kind node per
   (dag, canonical spec) pair, instance-major.
@@ -77,7 +77,7 @@ class RunPlan:
 
     @classmethod
     def from_jobs(cls, jobs: Sequence["ExperimentJob"]) -> "RunPlan":
-        """An edge-free plan: one node per job, engine-batch semantics."""
+        """An edge-free plan: one node per job, results in job order."""
         plan = cls()
         for job in jobs:
             plan.add(job)

@@ -1,17 +1,12 @@
 """The unified execution core: one :class:`Session` for every surface.
 
-Historically the repository had three parallel execution surfaces —
-``ExperimentEngine`` (process fan-out + cache + JSONL), ``Portfolio.run``
-(member loop with prefix reuse) and the ``Pipeline`` runner (sequential
-stages).  A :class:`Session` subsumes them: it accepts a
-:class:`~repro.exec.plan.RunPlan` (a job graph of pipeline-stage nodes) and
-executes it on an asyncio core with bounded worker slots, streaming one
-:class:`ResultEvent` per completed node.  Experiments, portfolio runs and
-individual pipelines are all *plans* now; the legacy entry points are thin
-shims over a session and remain byte-identical (pinned by the golden
-equivalence suites).
+A :class:`Session` accepts a :class:`~repro.exec.plan.RunPlan` (a job graph
+of pipeline-stage nodes) and executes it on an asyncio core with bounded
+worker slots, streaming one :class:`ResultEvent` per completed node.
+Experiment tables, portfolio runs and individual pipelines are all *plans*
+run by a session.
 
-Execution semantics (all inherited from the engine, now session services):
+Execution semantics:
 
 * **Determinism** — results are returned in plan order, and winner
   selection inside ``race(...)`` stages is order-independent, so a
@@ -396,8 +391,7 @@ class Session:
         inline = self.workers == 1 or len(pending) == 1
         if inline:
             # sequential execution *in the driving thread* (no executor):
-            # exactly the legacy engine behaviour — Ctrl-C lands inside the
-            # running solver, and nothing can outlive the interpreter.
+            # Ctrl-C lands inside the running solver, and nothing can outlive the interpreter.
             # Pipelines inherit the session's slots, so race branches can
             # still fan out over threads.
             executor = None
@@ -457,11 +451,9 @@ class Session:
 
         async def execute_one(node) -> InstanceResult:
             if executor is None:
-                # inline: block the driving thread for this job, exactly
-                # like the historical serial engine (the job_timeout
-                # liveness guard applies to pool execution only — the
-                # engine's historical contract, since a thread cannot be
-                # interrupted).  The cooperative yield first lets the
+                # inline: block the driving thread for this job (the
+                # job_timeout liveness guard applies to pool execution
+                # only, since a thread cannot be interrupted).  The cooperative yield first lets the
                 # previous job's event reach the consumer and gives pending
                 # cancellations (an abandoned stream) a point to land
                 # between jobs.

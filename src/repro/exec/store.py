@@ -12,10 +12,9 @@ Two stores, both keyed by the job content hash
   (one object per line: job key, kind, instance name, result), which
   doubles as the *resume* store: keys already recorded are not re-executed.
 
-Both were previously private to ``ExperimentEngine``; they are now session
-services shared by every execution surface (engine shim, portfolio,
-``repro exec run`` — including its sharded coordinator/worker mode,
-:mod:`repro.exec.shard`).
+Both are session services shared by every execution surface (experiment
+tables, portfolio, ``repro exec run`` — including its sharded
+coordinator/worker mode, :mod:`repro.exec.shard`).
 
 Multi-process contract (what sharded execution relies on):
 
@@ -139,7 +138,7 @@ class ResultLog:
 
     The file is parsed at most once per log instance; afterwards the
     in-memory index is kept current by :meth:`append` (one log instance is
-    the file's only appender, matching the engine's historical contract —
+    the file's only appender —
     concurrent appender *processes* must not share one file, which is why
     sharded runs write per-shard files and merge them afterwards, see
     :mod:`repro.exec.shard`).  Keys already present in the file — or

@@ -16,12 +16,7 @@ from repro.experiments.runner import (
     run_instance_with_baselines,
     run_divide_and_conquer_instance,
 )
-from repro.experiments.parallel import (
-    EngineStats,
-    ExperimentEngine,
-    ExperimentJob,
-    run_jobs,
-)
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.reporting import (
     format_results_table,
     read_jsonl,
@@ -62,10 +57,7 @@ __all__ = [
     "run_instance",
     "run_instance_with_baselines",
     "run_divide_and_conquer_instance",
-    "EngineStats",
-    "ExperimentEngine",
     "ExperimentJob",
-    "run_jobs",
     "format_results_table",
     "read_jsonl",
     "results_to_rows",

@@ -60,19 +60,19 @@ def figure4(
     limit: Optional[int] = None,
     configurations: Sequence[str] = ("base", "r5", "p8", "L0", "async"),
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> Dict[str, RatioSeries]:
     """Cost-reduction ratio distributions for the Figure 4 configurations.
 
-    The underlying Table 4 sweep runs through the parallel experiment
-    engine; pass a pre-built ``engine`` to parallelise or cache it.
+    The underlying Table 4 sweep runs on a :class:`repro.exec.Session`;
+    pass one as ``session`` to parallelise or cache it.
     """
     results = table4(
         base_config=base_config,
         limit=limit,
         configurations=configurations,
         verbose=verbose,
-        engine=engine,
+        session=session,
     )
     series = {
         name: RatioSeries(name=name, ratios=[r.ratio for r in rows])

@@ -5,14 +5,11 @@ are thin wrappers around :func:`run_instance` / :func:`run_dataset`, which
 execute the two-stage baselines and the ILP-based schedulers on one instance
 and record the costs, improvement ratios and solver diagnostics.
 
-:func:`run_dataset` routes every batch through the parallel experiment
-engine (:mod:`repro.experiments.parallel`): pass ``workers=N`` to fan the
-instances out over a process pool, ``cache_dir=...`` to reuse results across
-invocations (keyed by an instance/config hash) and ``results_path=...`` /
-``resume=True`` to stream results to a JSONL file and skip already-recorded
-jobs.  The same knobs are exposed on the CLI (``repro experiment --workers N
---cache-dir DIR --resume``) and as environment variables for the benchmark
-harness.
+:func:`run_dataset` turns a dataset into one
+:class:`~repro.experiments.parallel.ExperimentJob` per instance and runs
+the batch on a :class:`repro.exec.Session`; the session's worker pool,
+content-hash cache and JSONL stream/resume apply (CLI: ``repro experiment
+--workers N --cache-dir DIR --results FILE --resume``).
 
 Environment knobs (respected by the default configuration):
 
@@ -22,8 +19,8 @@ Environment knobs (respected by the default configuration):
   :mod:`repro.ilp.backends`);
 * ``REPRO_BENCH_SCALE`` — ``default`` or ``paper`` dataset scale;
 * ``REPRO_BENCH_LIMIT`` — only run the first N instances of each dataset;
-* ``REPRO_BENCH_WORKERS`` — worker processes for the experiment engine;
-* ``REPRO_CACHE_DIR`` — on-disk result cache directory for the engine.
+* ``REPRO_BENCH_WORKERS`` — worker processes for the benchmark session;
+* ``REPRO_CACHE_DIR`` — on-disk result cache directory for the session.
 
 Malformed values of the knobs fall back to their defaults, but emit a
 :class:`UserWarning` instead of being silently swallowed.
@@ -99,11 +96,11 @@ class ExperimentConfig:
     ilp_time_limit: float = field(default_factory=lambda: _env_float("REPRO_ILP_TIME_LIMIT", 10.0))
     ilp_node_limit: Optional[int] = None
     # resolved at construction time (env: REPRO_ILP_BACKEND) so that the
-    # parallel engine's content-hash job keys cover the backend actually used
+    # session's content-hash job keys cover the backend actually used
     ilp_backend: str = field(default_factory=default_backend)
     step_cap: Optional[int] = None
     seed: int = 0
-    # local-search refinement knobs; part of the engine job hash, so sweeps
+    # local-search refinement knobs; part of the job hash, so sweeps
     # with different refinement settings never collide in the result cache.
     # ``refine.enabled`` switches post-optimization on for the per-instance
     # runners; the explicit "<member>+refine" portfolio members refine
@@ -150,7 +147,8 @@ class InstanceResult:
     solve_time: float = 0.0
     extra_costs: Dict[str, float] = field(default_factory=dict)
     #: per-job solver telemetry (``solver_calls`` / ``solver_time`` totals
-    #: plus per-backend breakdowns), attached by the experiment engine.
+    #: plus per-backend breakdowns), attached by
+    #: :func:`~repro.experiments.parallel.execute_job`.
     #: Excluded from :meth:`fingerprint`: call counts are deterministic but
     #: the times are wall clock.
     solver_stats: Dict[str, float] = field(default_factory=dict)
@@ -254,31 +252,25 @@ def run_dataset(
     dags: Sequence[ComputationalDag],
     config: ExperimentConfig,
     verbose: bool = False,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    results_path: Optional[str] = None,
-    resume: bool = False,
     kind: str = "instance",
-    engine=None,
+    session=None,
     **job_params,
 ) -> List[InstanceResult]:
-    """Run one experiment ``kind`` over a dataset through the parallel engine.
+    """Run one experiment ``kind`` over a dataset on a :class:`~repro.exec.Session`.
 
     ``kind`` selects the per-instance runner (``"instance"``,
     ``"baselines"`` or ``"dac"``, see :mod:`repro.experiments.parallel`);
-    extra keyword arguments are forwarded to it.  With the default
-    ``workers=1`` and no cache the behaviour (and the results) are identical
-    to the historical serial loop.
+    extra keyword arguments are forwarded to it.  Without a ``session`` the
+    batch runs serially on a fresh, cache-less ``Session()``.
     """
-    from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+    from repro.exec import Session
+    from repro.experiments.parallel import ExperimentJob
 
-    if engine is None:
-        engine = ExperimentEngine(
-            workers=workers, cache_dir=cache_dir, results_path=results_path, resume=resume
-        )
+    if session is None:
+        session = Session()
     start = time.perf_counter()
     jobs = [ExperimentJob.make(kind, dag, config, **job_params) for dag in dags]
-    results = engine.run(jobs)
+    results = session.run(jobs)
     if verbose:  # pragma: no cover - console convenience
         for result in results:
             print(
@@ -287,7 +279,7 @@ def run_dataset(
             )
         print(
             f"  [{len(results)} results in {time.perf_counter() - start:.1f}s; "
-            f"{engine.stats.describe()}]"
+            f"{session.stats.describe()}]"
         )
     return results
 
@@ -428,7 +420,7 @@ def dataset_limit() -> Optional[int]:
 
 
 def env_bench_workers(default: int = 1) -> int:
-    """Engine/session worker count from ``REPRO_BENCH_WORKERS``.
+    """Session worker count from ``REPRO_BENCH_WORKERS``.
 
     Malformed values (non-integers — already warned about by the shared
     parser — and non-positive counts) warn and fall back to ``default``,

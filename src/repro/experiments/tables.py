@@ -4,13 +4,10 @@ Every function returns the list of :class:`InstanceResult` rows it produced
 (so benchmarks and tests can assert on them) and can print a formatted table
 comparable to the corresponding table in the paper.
 
-All table functions submit their instance batches through the parallel
-experiment engine (:mod:`repro.experiments.parallel`).  Pass a pre-built
-:class:`~repro.experiments.parallel.ExperimentEngine` (``engine=...``) to
-parallelise, cache or stream a sweep — its worker budget, cache and stats
-are then shared across every batch submitted to it (see ``repro.cli`` for
-the canonical wiring of ``--workers``/``--cache-dir``/``--results``/
-``--resume``).
+Pass a :class:`repro.exec.Session` (``session=...``) to parallelise, cache
+or stream a sweep: its worker pool, cache and stats are then shared across
+every batch submitted to it (``repro.cli`` wires ``--workers``/
+``--cache-dir``/``--results``/``--resume`` this way).
 """
 
 from __future__ import annotations
@@ -46,11 +43,11 @@ def table1(
     config: Optional[ExperimentConfig] = None,
     limit: Optional[int] = None,
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> List[InstanceResult]:
     """Synchronous MBSP cost of the two-stage baseline vs. the full ILP."""
     config = config or ExperimentConfig(name="base")
-    results = run_dataset(_tiny(limit), config, verbose=verbose, engine=engine)
+    results = run_dataset(_tiny(limit), config, verbose=verbose, session=session)
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Table 1 (base case)", paper_reference.TABLE1))
     return results
@@ -63,11 +60,11 @@ def table3(
     config: Optional[ExperimentConfig] = None,
     limit: Optional[int] = None,
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> List[InstanceResult]:
     """The five-column comparison of Table 3 on the tiny dataset."""
     config = config or ExperimentConfig(name="base")
-    results = run_dataset(_tiny(limit), config, kind="baselines", engine=engine)
+    results = run_dataset(_tiny(limit), config, kind="baselines", session=session)
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Table 3 (main columns)", paper_reference.TABLE1))
     return results
@@ -94,12 +91,12 @@ def table4(
     limit: Optional[int] = None,
     configurations: Optional[Sequence[str]] = None,
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> Dict[str, List[InstanceResult]]:
     """Baseline / ILP costs for the alternative parameter settings.
 
-    Pass a pre-built engine to share one pool/cache/stats line across the
-    whole sweep (the CLI does).
+    Pass a session to share one pool/cache/stats line across the whole
+    sweep (the CLI does).
     """
     configs = table4_configurations(base_config)
     if configurations:
@@ -107,7 +104,7 @@ def table4(
     dags = _tiny(limit)
     out: Dict[str, List[InstanceResult]] = {}
     for name, config in configs.items():
-        out[name] = run_dataset(dags, config, verbose=verbose, engine=engine)
+        out[name] = run_dataset(dags, config, verbose=verbose, session=session)
         if verbose:  # pragma: no cover
             ref = paper_reference.TABLE4.get(name, paper_reference.TABLE1)
             print(format_results_table(out[name], f"Table 4 [{name}]", ref))
@@ -122,12 +119,12 @@ def table2(
     limit: Optional[int] = None,
     max_part_size: int = 22,
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> List[InstanceResult]:
     """Baseline vs. divide-and-conquer ILP on the "small" dataset (r=5*r0)."""
     config = config or ExperimentConfig(name="table2", cache_factor=5.0)
     results = run_dataset(
-        _small(limit), config, kind="dac", max_part_size=max_part_size, engine=engine
+        _small(limit), config, kind="dac", max_part_size=max_part_size, session=session
     )
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Table 2 (divide-and-conquer)", paper_reference.TABLE2))
@@ -141,11 +138,11 @@ def p1_experiment(
     config: Optional[ExperimentConfig] = None,
     limit: Optional[int] = None,
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> List[InstanceResult]:
     """P = 1: DFS + clairvoyant baseline vs. the ILP (rarely improves)."""
     config = (config or ExperimentConfig()).variant(name="p1", num_processors=1)
-    results = run_dataset(_tiny(limit), config, verbose=verbose, engine=engine)
+    results = run_dataset(_tiny(limit), config, verbose=verbose, session=session)
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Single-processor red-blue pebbling (P=1)"))
     return results
@@ -158,15 +155,15 @@ def recomputation_ablation(
     config: Optional[ExperimentConfig] = None,
     limit: Optional[int] = None,
     verbose: bool = False,
-    engine=None,
+    session=None,
 ) -> Dict[str, List[InstanceResult]]:
     """ILP with and without recomputation allowed (cost increase up to ~1.4x)."""
     base = config or ExperimentConfig(name="with_recompute")
     no_recompute = base.variant(name="no_recompute", allow_recomputation=False)
     dags = _tiny(limit)
     results = {
-        "with_recompute": run_dataset(dags, base, verbose=verbose, engine=engine),
-        "no_recompute": run_dataset(dags, no_recompute, verbose=verbose, engine=engine),
+        "with_recompute": run_dataset(dags, base, verbose=verbose, session=session),
+        "no_recompute": run_dataset(dags, no_recompute, verbose=verbose, session=session),
     }
     if verbose:  # pragma: no cover
         pairs = zip(results["with_recompute"], results["no_recompute"])

@@ -78,6 +78,11 @@ class SolverOptions:
     warm_start_solution: Optional[Sequence[float]] = None
 
 
+#: HiGHS's model-status text for kSolutionLimit; ``optimize.milp`` reports
+#: that status as 4 ("other") and names it only in its message
+_SOLUTION_LIMIT_MESSAGE = "Solution limit reached"
+
+
 def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -> IlpSolution:
     """Solve ``model`` with ``scipy.optimize.milp`` and return an :class:`IlpSolution`."""
     from repro.ilp.cancellation import clamped_time_limit, current_cancel_token
@@ -202,13 +207,18 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
     if values is not None:
         objective = sign * float(compiled.c @ values) + compiled.objective_constant
 
-    if result.status == 0:
+    code = result.status
+    if code == 4 and _SOLUTION_LIMIT_MESSAGE in str(getattr(result, "message", "")):
+        # a node limit stops HiGHS with kSolutionLimit, which optimize.milp
+        # has no code for; it is a limit, as in highs_cancel._status_code
+        code = 1
+    if code == 0:
         status = SolutionStatus.OPTIMAL
-    elif result.status == 1:
+    elif code == 1:
         status = SolutionStatus.FEASIBLE if values is not None else SolutionStatus.NO_SOLUTION
-    elif result.status == 2:
+    elif code == 2:
         status = SolutionStatus.INFEASIBLE
-    elif result.status == 3:
+    elif code == 3:
         status = SolutionStatus.UNBOUNDED
     else:
         status = SolutionStatus.FEASIBLE if values is not None else SolutionStatus.ERROR

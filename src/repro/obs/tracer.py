@@ -275,6 +275,9 @@ class Tracer:
 
     def close(self) -> None:
         self.flush()
+        self._close_spill_handle()
+
+    def _close_spill_handle(self) -> None:
         with self._lock:
             if self._spill_handle is not None:
                 try:
@@ -337,6 +340,9 @@ def configure_tracing(
     if max_spans is not None and max_spans != _TRACER.max_spans:
         _TRACER.max_spans = max_spans
         _TRACER._spans = deque(_TRACER._spans, maxlen=max_spans)
+    if spill_dir != _TRACER.spill_dir:
+        # the open spill file lives in the old directory
+        _TRACER._close_spill_handle()
     _TRACER.spill_dir = spill_dir
     _TRACER.enabled = enabled
     return _TRACER

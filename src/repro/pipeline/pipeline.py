@@ -4,8 +4,8 @@
 on one instance: stages run in order, each stage's best schedule becomes the
 next stage's warm-start incumbent, and per-stage telemetry (wall time,
 solver calls, costs) is collected along the way.  The result reduces to the
-exact :class:`~repro.experiments.runner.InstanceResult` shape the experiment
-engine and the portfolio consume, so every portfolio member is now *one
+exact :class:`~repro.experiments.runner.InstanceResult` shape the execution
+session and the portfolio consume, so every portfolio member is now *one
 declarative spec executed by this runner* instead of a hand-written dispatch
 branch.
 
@@ -103,7 +103,7 @@ def stage_reuse_scope():
 
     Yields the :class:`StageReuseCache`, whose ``stats`` describe the saved
     work when the scope closes.  Scopes are per process: jobs fanned out by
-    the parallel experiment engine run in worker processes and do not see
+    a parallel session run in worker processes and do not see
     the parent's scope (results are identical either way; only the savings
     differ).
     """
@@ -172,7 +172,7 @@ class PipelineResult:
         return "; ".join(parts)
 
     def to_instance_result(self):
-        """Reduce to the engine's :class:`InstanceResult` shape.
+        """Reduce to the session's :class:`InstanceResult` shape.
 
         The mapping reproduces the historical portfolio-member results
         byte-for-byte for every legacy member spec (pinned by the golden

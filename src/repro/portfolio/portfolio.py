@@ -3,21 +3,20 @@
 The ILP-based schedulers dominate on some instances and the cheap two-stage
 pipelines on others (and the ILP is orders of magnitude more expensive), so
 the natural production configuration is a *portfolio*: evaluate a set of
-member pipelines on every instance — fanned out over the parallel experiment
-engine — and report, per instance, the member achieving the lowest MBSP cost.
+member pipelines on every instance — fanned out over a
+:class:`repro.exec.Session` — and report, per instance, the member achieving
+the lowest MBSP cost.
 
     >>> from repro.portfolio import Portfolio
-    >>> portfolio = Portfolio()
-    >>> winners = portfolio.run(["bspg+clairvoyant", "cilk+lru", "ilp"], dags,
-    ...                         workers=4)
+    >>> portfolio = Portfolio(workers=4)
+    >>> winners = portfolio.run(["bspg+clairvoyant", "cilk+lru", "ilp"], dags)
     >>> winners[0].best_member, winners[0].best_cost
 
 Execution goes through the unified execution core (:mod:`repro.exec`):
 the member x instance fan-out is a run plan executed by a ``Session``
-(pass ``session=`` to share one, or the legacy ``engine=`` shim), so all
-session services apply: ``workers=N`` parallelises over processes,
-``cache_dir`` makes repeated sweeps free, and ``results_path``/``resume``
-stream and resume long sweeps.
+(pass ``session=`` to share one), so all session services apply:
+``workers=N`` parallelises over processes, ``cache_dir`` makes repeated
+sweeps free, and ``results_path``/``resume`` stream and resume long sweeps.
 
 Members are **pipeline specs** (:mod:`repro.pipeline`): legacy names like
 ``"ilp"`` or ``"bspg+clairvoyant+refine"`` and raw specs like
@@ -55,7 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 from repro.dag.graph import ComputationalDag
 from repro.exceptions import ConfigurationError
 from repro.exec import RunPlan, Session
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import ExperimentConfig, InstanceResult
 from repro.pipeline import StageReuseStats, stage_reuse_scope
 from repro.portfolio.members import (
@@ -156,8 +155,6 @@ class Portfolio:
         self,
         members: Optional[Sequence[str]] = None,
         dags: Sequence[ComputationalDag] = (),
-        workers: Optional[int] = None,
-        engine: Optional[ExperimentEngine] = None,
         session: Optional[Session] = None,
     ) -> List[PortfolioResult]:
         """Run every member on every DAG; return one result per DAG (in order).
@@ -165,7 +162,8 @@ class Portfolio:
         Execution goes through the unified execution core: the member x
         instance fan-out becomes a :class:`~repro.exec.RunPlan` run by a
         :class:`~repro.exec.Session` (pass ``session=`` to share one across
-        runs, or the legacy ``engine=`` shim).  Jobs are submitted
+        runs; otherwise one is built from the constructor's ``workers``,
+        ``cache_dir``, ``results_path`` and ``resume``).  Jobs are submitted
         instance-major, so with ``workers > 1`` all members of all
         instances execute concurrently; the reduction to the per-instance
         winner happens deterministically in submission order (ties broken
@@ -180,8 +178,8 @@ class Portfolio:
         canonical = {member: resolve_member(member) for member in members}
         prunable = {member: is_prunable_member(member) for member in canonical}
         if session is None:
-            session = engine.session if engine is not None else Session(
-                workers=self.workers if workers is None else workers,
+            session = Session(
+                workers=self.workers,
                 cache_dir=self.cache_dir,
                 results_path=self.results_path,
                 resume=self.resume,

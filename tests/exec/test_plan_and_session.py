@@ -1,8 +1,7 @@
 """Unit tests for the unified execution core (repro.exec).
 
 Fast two-stage jobs exercise the plan/session machinery end to end: plan
-validation, event streaming, cache/resume services, dependency edges, and
-equivalence with the legacy engine path.
+validation, event streaming, cache/resume services and dependency edges.
 """
 
 import pytest
@@ -20,7 +19,7 @@ from repro.exec import (
     plan_pipelines,
     slot_scope,
 )
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.reporting import read_jsonl
 from repro.experiments.runner import ExperimentConfig
 
@@ -88,14 +87,6 @@ class TestRunPlan:
 
 
 class TestSession:
-    def test_run_matches_engine_bit_for_bit(self):
-        jobs = _fast_jobs()
-        engine_results = ExperimentEngine(workers=1).run(jobs)
-        session_results = Session(workers=1).run(RunPlan.from_jobs(jobs))
-        assert [r.fingerprint() for r in session_results] == [
-            r.fingerprint() for r in engine_results
-        ]
-
     def test_parallel_identical_to_serial(self):
         jobs = _fast_jobs()
         serial = Session(workers=1).run(jobs)
@@ -194,16 +185,15 @@ class TestSession:
         assert asyncio.run(abandon()) <= 2
 
     def test_sync_facades_work_inside_a_running_event_loop(self):
-        """Jupyter/async callers: engine.run / session.run / stream must not
-        crash on 'asyncio.run() cannot be called from a running event loop'
-        (the legacy engine was plain sync code and worked everywhere)."""
+        """Jupyter/async callers: session.run / stream must not crash on
+        'asyncio.run() cannot be called from a running event loop'."""
         import asyncio
 
         jobs = _fast_jobs(_dags(1))
         reference = Session(workers=1).run(jobs)[0].fingerprint()
 
         async def under_loop():
-            ran = ExperimentEngine(workers=1).run(jobs)[0]
+            ran = Session(workers=1).run(RunPlan.from_jobs(jobs))[0]
             streamed = list(Session(workers=1).stream(as_plan(jobs)))[0]
             native = (await Session(workers=1).arun(jobs))[0]
             return [r.fingerprint() for r in (ran, streamed.result, native)]

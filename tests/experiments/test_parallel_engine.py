@@ -1,4 +1,4 @@
-"""Unit tests for the parallel experiment engine.
+"""Unit tests for experiment jobs and their execution on a Session.
 
 Fast jobs (two-stage portfolio members) exercise the pool, cache, JSONL
 stream and resume logic; a single short ILP job keeps the solver path
@@ -12,13 +12,8 @@ import pytest
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import fork_join_dag, spmv
 from repro.exceptions import ConfigurationError
-from repro.experiments.parallel import (
-    EngineStats,
-    ExperimentEngine,
-    ExperimentJob,
-    execute_job,
-    run_jobs,
-)
+from repro.exec import Session, SessionStats
+from repro.experiments.parallel import ExperimentJob, execute_job
 from repro.experiments.reporting import read_jsonl
 from repro.experiments.runner import ExperimentConfig, InstanceResult, run_dataset
 
@@ -89,13 +84,13 @@ class TestExperimentJob:
 class TestEngineExecution:
     def test_serial_results_in_submission_order(self):
         jobs = _fast_jobs()
-        results = ExperimentEngine(workers=1).run(jobs)
+        results = Session(workers=1).run(jobs)
         assert [r.instance_name for r in results] == [j.instance_name for j in jobs]
 
     def test_parallel_identical_to_serial(self):
         jobs = _fast_jobs() + _fast_jobs(member="cilk+lru")
-        serial = ExperimentEngine(workers=1).run(jobs)
-        parallel = ExperimentEngine(workers=3).run(jobs)
+        serial = Session(workers=1).run(jobs)
+        parallel = Session(workers=3).run(jobs)
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
 
     def test_parallel_ilp_identical_to_serial(self):
@@ -103,35 +98,26 @@ class TestEngineExecution:
         assign_random_memory_weights(dag, seed=3)
         dag.name = "fj"
         jobs = [ExperimentJob.make("instance", dag, ILP_CFG) for _ in range(2)]
-        serial = ExperimentEngine(workers=1).run(jobs)
-        parallel = ExperimentEngine(workers=2).run(jobs)
+        serial = Session(workers=1).run(jobs)
+        parallel = Session(workers=2).run(jobs)
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
 
     def test_stats_accumulate(self):
-        engine = ExperimentEngine(workers=1)
-        engine.run(_fast_jobs())
-        engine.run(_fast_jobs())
-        assert engine.stats.total == 6
-        assert engine.stats.executed == 6
-        assert "6 jobs" in engine.stats.describe()
-
-    def test_run_one(self):
-        result = ExperimentEngine(workers=1).run_one(_fast_jobs()[0])
-        assert isinstance(result, InstanceResult)
-        assert result.instance_name == "spmv_1"
-
-    def test_run_jobs_convenience(self):
-        results = run_jobs(_fast_jobs(), workers=1)
-        assert len(results) == 3
+        session = Session(workers=1)
+        session.run(_fast_jobs())
+        session.run(_fast_jobs())
+        assert session.stats.total == 6
+        assert session.stats.executed == 6
+        assert "6 jobs" in session.stats.describe()
 
 
 class TestEngineCache:
     def test_second_run_hits_cache_with_zero_executions(self, tmp_path):
         jobs = _fast_jobs()
-        first = ExperimentEngine(workers=1, cache_dir=tmp_path)
+        first = Session(workers=1, cache_dir=tmp_path)
         r1 = first.run(jobs)
         assert first.stats.executed == len(jobs)
-        second = ExperimentEngine(workers=2, cache_dir=tmp_path)
+        second = Session(workers=2, cache_dir=tmp_path)
         r2 = second.run(jobs)
         assert second.stats.executed == 0
         assert second.stats.cache_hits == len(jobs)
@@ -143,20 +129,20 @@ class TestEngineCache:
         other = ExperimentJob.make(
             "portfolio", dag, CFG.variant(cache_factor=5.0), member="bspg+clairvoyant"
         )
-        engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
-        engine.run([job])
-        engine.run([other])
-        assert engine.stats.executed == 2
-        assert engine.stats.cache_hits == 0
+        session = Session(workers=1, cache_dir=tmp_path)
+        session.run([job])
+        session.run([other])
+        assert session.stats.executed == 2
+        assert session.stats.cache_hits == 0
 
     def test_corrupt_cache_entry_is_re_executed(self, tmp_path):
         jobs = _fast_jobs()[:1]
-        engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
-        engine.run(jobs)
+        session = Session(workers=1, cache_dir=tmp_path)
+        session.run(jobs)
         cache_file = tmp_path / f"{jobs[0].key()}.json"
         assert cache_file.is_file()
         cache_file.write_text("{not json")
-        again = ExperimentEngine(workers=1, cache_dir=tmp_path)
+        again = Session(workers=1, cache_dir=tmp_path)
         results = again.run(jobs)
         assert again.stats.executed == 1
         assert results[0].instance_name == "spmv_1"
@@ -166,7 +152,7 @@ class TestResultsStreamAndResume:
     def test_jsonl_stream_records_every_execution(self, tmp_path):
         path = tmp_path / "results.jsonl"
         jobs = _fast_jobs()
-        ExperimentEngine(workers=1, results_path=path).run(jobs)
+        Session(workers=1, results_path=path).run(jobs)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == len(jobs)
         assert {r["key"] for r in records} == {j.key() for j in jobs}
@@ -177,23 +163,23 @@ class TestResultsStreamAndResume:
     def test_resume_skips_recorded_jobs(self, tmp_path):
         path = tmp_path / "results.jsonl"
         jobs = _fast_jobs()
-        ExperimentEngine(workers=1, results_path=path).run(jobs[:2])
-        resumed = ExperimentEngine(workers=1, results_path=path, resume=True)
+        Session(workers=1, results_path=path).run(jobs[:2])
+        resumed = Session(workers=1, results_path=path, resume=True)
         results = resumed.run(jobs)
         assert resumed.stats.resumed == 2
         assert resumed.stats.executed == 1
-        fresh = ExperimentEngine(workers=1).run(jobs)
+        fresh = Session(workers=1).run(jobs)
         assert [r.fingerprint() for r in results] == [r.fingerprint() for r in fresh]
 
     def test_cache_hits_are_streamed_to_results_file(self, tmp_path):
         """The results file records the whole batch, even when every job is
         served from the disk cache."""
         jobs = _fast_jobs()
-        ExperimentEngine(workers=1, cache_dir=tmp_path / "cache").run(jobs)
+        Session(workers=1, cache_dir=tmp_path / "cache").run(jobs)
         path = tmp_path / "late.jsonl"
-        engine = ExperimentEngine(workers=1, cache_dir=tmp_path / "cache", results_path=path)
-        engine.run(jobs)
-        assert engine.stats.cache_hits == len(jobs)
+        session = Session(workers=1, cache_dir=tmp_path / "cache", results_path=path)
+        session.run(jobs)
+        assert session.stats.cache_hits == len(jobs)
         assert len(read_jsonl(path)) == len(jobs)
 
     def test_resume_populates_disk_cache(self, tmp_path):
@@ -201,13 +187,13 @@ class TestResultsStreamAndResume:
         a later cache-only run does not re-execute anything."""
         path = tmp_path / "results.jsonl"
         jobs = _fast_jobs()
-        ExperimentEngine(workers=1, results_path=path).run(jobs)
+        Session(workers=1, results_path=path).run(jobs)
         cache = tmp_path / "cache"
-        resumed = ExperimentEngine(workers=1, results_path=path, resume=True,
+        resumed = Session(workers=1, results_path=path, resume=True,
                                    cache_dir=cache)
         resumed.run(jobs)
         assert resumed.stats.resumed == len(jobs)
-        cache_only = ExperimentEngine(workers=1, cache_dir=cache)
+        cache_only = Session(workers=1, cache_dir=cache)
         cache_only.run(jobs)
         assert cache_only.stats.cache_hits == len(jobs)
         assert cache_only.stats.executed == 0
@@ -218,21 +204,21 @@ class TestResultsStreamAndResume:
         path = tmp_path / "results.jsonl"
         cache = tmp_path / "cache"
         jobs = _fast_jobs()
-        ExperimentEngine(workers=1, cache_dir=cache, results_path=path).run(jobs)
-        ExperimentEngine(workers=1, cache_dir=cache, results_path=path).run(jobs)
+        Session(workers=1, cache_dir=cache, results_path=path).run(jobs)
+        Session(workers=1, cache_dir=cache, results_path=path).run(jobs)
         assert len(read_jsonl(path)) == len(jobs)
 
     def test_resume_without_results_path_warns(self):
         with pytest.warns(UserWarning, match="resume"):
-            ExperimentEngine(workers=1, resume=True)
+            Session(workers=1, resume=True)
 
     def test_resume_tolerates_truncated_line(self, tmp_path):
         path = tmp_path / "results.jsonl"
         jobs = _fast_jobs()
-        ExperimentEngine(workers=1, results_path=path).run(jobs)
+        Session(workers=1, results_path=path).run(jobs)
         with open(path, "a") as handle:
             handle.write('{"key": "truncat')  # simulated crash mid-write
-        resumed = ExperimentEngine(workers=1, results_path=path, resume=True)
+        resumed = Session(workers=1, results_path=path, resume=True)
         results = resumed.run(jobs)
         assert resumed.stats.resumed == 3
         assert len(results) == 3
@@ -241,19 +227,17 @@ class TestResultsStreamAndResume:
 class TestRunDatasetIntegration:
     def test_run_dataset_serial_equals_parallel(self):
         dags = _dags(2)
-        serial = run_dataset(dags, ILP_CFG, workers=1)
-        parallel = run_dataset(dags, ILP_CFG, workers=2)
+        serial = run_dataset(dags, ILP_CFG)
+        parallel = run_dataset(dags, ILP_CFG, session=Session(workers=2))
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
 
     def test_run_dataset_uses_cache(self, tmp_path):
         dags = _dags(2)
-        run_dataset(dags, ILP_CFG, cache_dir=tmp_path)
-        from repro.experiments.parallel import ExperimentEngine as Engine
-
-        engine = Engine(workers=1, cache_dir=tmp_path)
-        run_dataset(dags, ILP_CFG, engine=engine)
-        assert engine.stats.executed == 0
-        assert engine.stats.cache_hits == 2
+        run_dataset(dags, ILP_CFG, session=Session(cache_dir=tmp_path))
+        session = Session(workers=1, cache_dir=tmp_path)
+        run_dataset(dags, ILP_CFG, session=session)
+        assert session.stats.executed == 0
+        assert session.stats.cache_hits == 2
 
     def test_instance_result_roundtrip(self):
         result = InstanceResult(
@@ -266,5 +250,5 @@ class TestRunDatasetIntegration:
 
 
 def test_engine_stats_dataclass_defaults():
-    stats = EngineStats()
+    stats = SessionStats()
     assert (stats.total, stats.executed, stats.cache_hits, stats.resumed) == (0, 0, 0, 0)

@@ -151,8 +151,8 @@ class TestPruningGoldenEquivalence:
 
     def test_pruning_parallel_run_identical_to_serial(self):
         dags = _seed_dags()
-        serial = Portfolio(config=CFG, prune_gap=0.0).run(["ilp"], dags, workers=1)
-        parallel = Portfolio(config=CFG, prune_gap=0.0).run(["ilp"], dags, workers=3)
+        serial = Portfolio(config=CFG, prune_gap=0.0, workers=1).run(["ilp"], dags)
+        parallel = Portfolio(config=CFG, prune_gap=0.0, workers=3).run(["ilp"], dags)
         for left, right in zip(serial, parallel):
             assert left.member_costs == right.member_costs
             assert left.member_status == right.member_status

@@ -1,4 +1,4 @@
-"""Per-job solver telemetry attached by the experiment engine."""
+"""Per-job solver telemetry attached to every executed experiment job."""
 
 import json
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.exec import Session
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import ExperimentConfig, InstanceResult
 from repro.ilp.backends import SolverCallStats
 
@@ -48,7 +49,7 @@ class TestSolverCallStatsDelta:
 
 class TestEngineAttachesSolverStats:
     def test_instance_job_records_one_solve(self):
-        result = ExperimentEngine().run(
+        result = Session().run(
             [ExperimentJob.make("instance", _dag(), CFG)]
         )[0]
         assert result.solver_stats["solver_calls"] == 1.0
@@ -56,7 +57,7 @@ class TestEngineAttachesSolverStats:
         assert result.solver_stats["solver_time"] > 0
 
     def test_pruned_portfolio_job_records_zero_solves(self):
-        result = ExperimentEngine().run([
+        result = Session().run([
             ExperimentJob.make(
                 "portfolio", chain_dag(5),
                 CFG.variant(num_processors=1),
@@ -67,7 +68,7 @@ class TestEngineAttachesSolverStats:
 
     def test_stats_reach_the_jsonl_results_file(self, tmp_path):
         results_path = tmp_path / "results.jsonl"
-        ExperimentEngine(results_path=results_path).run(
+        Session(results_path=results_path).run(
             [ExperimentJob.make("instance", _dag(), CFG)]
         )
         record = json.loads(results_path.read_text().splitlines()[0])
@@ -86,8 +87,8 @@ class TestEngineAttachesSolverStats:
     def test_parallel_and_serial_fingerprints_still_agree(self):
         dags = [_dag(seed=1), _dag(seed=2)]
         jobs = [ExperimentJob.make("instance", dag, CFG) for dag in dags]
-        serial = ExperimentEngine(workers=1).run(jobs)
-        parallel = ExperimentEngine(workers=2).run(jobs)
+        serial = Session(workers=1).run(jobs)
+        parallel = Session(workers=2).run(jobs)
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
         # telemetry is attached in both execution modes
         assert all(r.solver_stats["solver_calls"] >= 1 for r in serial)

@@ -31,6 +31,19 @@ def knapsack_model():
     return model, x
 
 
+def two_constraint_knapsack_model():
+    """A 10-item, two-constraint knapsack HiGHS cannot close at the root."""
+    profits = [17, 29, 8, 25, 14, 21, 11, 27, 19, 9]
+    weights = ([12, 27, 6, 22, 15, 18, 9, 25, 14, 7],
+               [20, 8, 25, 13, 17, 26, 10, 6, 23, 16])
+    model = IlpModel("knapsack-2d")
+    x = [model.add_binary(f"x{i}") for i in range(len(profits))]
+    for row in weights:
+        model.add_constraint(sum(w * xi for w, xi in zip(row, x)) <= sum(row) // 2)
+    model.maximize(sum(p * xi for p, xi in zip(profits, x)))
+    return model, x
+
+
 def big_model(num_binaries=AUTO_BNB_MAX_INTEGERS + 5):
     """A model too large for auto's pure-Python routing threshold."""
     model = IlpModel("big")
@@ -171,17 +184,21 @@ class TestLimitSemantics:
         assert solution.objective == pytest.approx(14.0)
 
     def test_zero_node_limit_explores_no_nodes(self, backend):
-        model, _ = knapsack_model()
-        solution = solve(
-            model, SolverOptions(time_limit=10, node_limit=0), backend=backend
-        )
-        # neither backend may branch; HiGHS presolve/root heuristics can
-        # still produce (and prove) an incumbent, the transparent solver
-        # reports that it found nothing
-        assert solution.node_count == 0
-        if backend == "bnb":
-            assert solution.status is SolutionStatus.NO_SOLUTION
-            assert not solution.has_solution
+        # the second model is not solved at the root: HiGHS stops with its
+        # "solution limit reached" status, which is a limit, not an error
+        for build in (knapsack_model, two_constraint_knapsack_model):
+            model, _ = build()
+            solution = solve(
+                model, SolverOptions(time_limit=10, node_limit=0), backend=backend
+            )
+            # neither backend may branch; HiGHS presolve/root heuristics can
+            # still produce (and prove) an incumbent, the transparent solver
+            # reports that it found nothing
+            assert solution.node_count == 0
+            assert solution.status is not SolutionStatus.ERROR
+            if backend == "bnb":
+                assert solution.status is SolutionStatus.NO_SOLUTION
+                assert not solution.has_solution
 
     def test_zero_time_limit_returns_no_solution(self, backend):
         model, _ = knapsack_model()

@@ -127,6 +127,17 @@ class TestScopeAndSpill:
         spans = obs.read_spill_spans(spill)
         assert [span.name for span in spans] == ["work"]
 
+    def test_consecutive_scopes_spill_to_their_own_directories(self, tmp_path):
+        first, second = str(tmp_path / "ta"), str(tmp_path / "tb")
+        with obs.trace_scope(spill_dir=first):
+            with obs.trace_span("in-a"):
+                pass
+        with obs.trace_scope(spill_dir=second):
+            with obs.trace_span("in-b"):
+                pass
+        assert [span.name for span in obs.read_spill_spans(first)] == ["in-a"]
+        assert [span.name for span in obs.read_spill_spans(second)] == ["in-b"]
+
     def test_flush_appends_jsonl_and_roundtrips(self, tmp_path):
         spill = str(tmp_path)
         obs.configure_tracing(True, spill_dir=spill)

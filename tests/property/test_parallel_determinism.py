@@ -1,6 +1,6 @@
-"""Property-based tests (hypothesis) for the parallel experiment engine.
+"""Property-based tests (hypothesis) for parallel session execution.
 
-For random seeded DAGs the engine must be a pure function of its job list:
+For random seeded DAGs a session must be a pure function of its job list:
 
 * ``workers > 1`` returns bit-identical costs *and schedules* (compared via
   schedule digests carried in the result fingerprints) to serial execution;
@@ -9,7 +9,7 @@ For random seeded DAGs the engine must be a pure function of its job list:
 * job keys are deterministic across job-object rebuilds.
 
 The members exercised here are the deterministic two-stage pipelines, so
-any fingerprint difference is an engine bug, never solver noise.
+any fingerprint difference is an execution bug, never solver noise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.dag.generators import random_layered_dag
-from repro.experiments.parallel import ExperimentEngine, ExperimentJob
+from repro.exec import Session
+from repro.experiments.parallel import ExperimentJob
 from repro.experiments.runner import ExperimentConfig
 
 MEMBERS = ("bspg+clairvoyant", "cilk+lru", "etf+clairvoyant")
@@ -52,8 +53,8 @@ def job_batches(draw):
 @given(job_batches())
 @settings(max_examples=6, deadline=None)
 def test_parallel_engine_matches_serial_bit_for_bit(jobs):
-    serial = ExperimentEngine(workers=1).run(jobs)
-    parallel = ExperimentEngine(workers=2).run(jobs)
+    serial = Session(workers=1).run(jobs)
+    parallel = Session(workers=2).run(jobs)
     # fingerprints include the member cost and the schedule digest, so this
     # asserts bit-identical costs AND schedules, in identical order
     assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
@@ -63,9 +64,9 @@ def test_parallel_engine_matches_serial_bit_for_bit(jobs):
 @settings(max_examples=6, deadline=None)
 def test_cached_rerun_is_identical_and_free(tmp_path_factory, jobs):
     cache_dir = tmp_path_factory.mktemp("engine-cache")
-    warm = ExperimentEngine(workers=1, cache_dir=cache_dir)
+    warm = Session(workers=1, cache_dir=cache_dir)
     first = warm.run(jobs)
-    cached = ExperimentEngine(workers=1, cache_dir=cache_dir)
+    cached = Session(workers=1, cache_dir=cache_dir)
     second = cached.run(jobs)
     assert cached.stats.executed == 0
     assert cached.stats.cache_hits == len(jobs)

@@ -60,6 +60,39 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["portfolio", "--backend", "gurobi"])
 
+    TIME_LIMIT_COMMANDS = (
+        ["schedule"], ["refine"], ["pipeline", "run", "--spec", "ilp"], ["experiment"],
+        ["exec", "run"], ["exec", "merge", "--shards", "2", "--results", "r.jsonl"],
+        ["portfolio"],
+    )
+
+    def test_time_limit_default_follows_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ILP_TIME_LIMIT", "3")
+        for command in self.TIME_LIMIT_COMMANDS:
+            assert cli.parse_args(command).time_limit == 3.0, command
+        monkeypatch.delenv("REPRO_ILP_TIME_LIMIT")
+        for command in self.TIME_LIMIT_COMMANDS:
+            assert cli.parse_args(command).time_limit == 10.0, command
+        assert cli.parse_args(["portfolio", "--time-limit", "0.5"]).time_limit == 0.5
+
+    def test_python_dash_m_repro_runs_the_cli(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: repro")
+
     def test_prune_arguments(self):
         args = cli.build_parser().parse_args([
             "portfolio", "--prune-gap", "0.25", "--no-prune",
