@@ -12,7 +12,10 @@ member's wall time:
 and reports, per instance and aggregated, the *closed gap*
 ``(base - refined) / (base - ilp)`` (1.0 = refinement matches the ILP;
 values above 1 mean local search beat the time-limited solver) together
-with the wall-time ratio ``refine_time / ilp_time``.
+with the wall-time ratio ``refine_time / ilp_time``.  Each row also records
+the refiner's search counters (proposals, accepted, invalid, screened), and
+the summary its speed, ``refine_proposals_per_s`` (proposals per second of
+refine wall time), so the nightly artifact tracks refine speed.
 
 Runs standalone (no pytest-benchmark dependency), which is how the nightly
 CI invokes it::
@@ -72,6 +75,8 @@ def run_bench(limit=None, time_limit=5.0, refine_budget=3000, seed=0):
             "ilp_time": ilp_time,
             "refine_accepted": refined.accepted,
             "refine_proposals": refined.proposals,
+            "refine_invalid": refined.invalid,
+            "refine_screened": refined.screened,
         })
     return rows
 
@@ -82,6 +87,7 @@ def summarize(rows, time_limit, refine_budget):
     gaps = [r["closed_gap"] for r in rows if r["closed_gap"] is not None]
     total_refine = sum(r["refine_time"] for r in rows)
     total_ilp = sum(r["ilp_time"] for r in rows)
+    proposals = sum(r["refine_proposals"] for r in rows)
     return {
         "backend": env_backend(),
         "ilp_time_limit": time_limit,
@@ -92,6 +98,9 @@ def summarize(rows, time_limit, refine_budget):
         "mean_closed_gap": sum(gaps) / len(gaps) if gaps else None,
         "total_refine_time": total_refine,
         "total_ilp_time": total_ilp,
+        "refine_proposals_per_s": (
+            proposals / total_refine if total_refine > 0 else None
+        ),
         "refine_time_fraction_of_ilp": (
             total_refine / total_ilp if total_ilp > 0 else None
         ),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.dag.graph import ComputationalDag, NodeId
 from repro.exceptions import InvalidScheduleError
@@ -79,6 +79,10 @@ class PebblingState:
 
     Tracks the red-pebble set (cache contents) of every processor, the used
     cache capacity, and the shared blue-pebble set (slow memory contents).
+    The DAG's memory weights and parent lists are read into lookup tables
+    once at construction; copies share them, so a replay pays one dict
+    lookup per operation instead of a checked :class:`ComputationalDag`
+    query.
 
     Parameters
     ----------
@@ -97,6 +101,11 @@ class PebblingState:
         self.red: List[Set[NodeId]] = [set() for _ in range(num_processors)]
         self.red_usage: List[float] = [0.0 for _ in range(num_processors)]
         self.blue: Set[NodeId] = set(dag.sources())
+        self._mu: Dict[NodeId, float] = {v: dag.mu(v) for v in dag}
+        self._parents: Dict[NodeId, Tuple[NodeId, ...]] = {
+            v: tuple(dag.parents(v)) for v in dag
+        }
+        self._sinks: List[NodeId] = dag.sinks()
 
     # ------------------------------------------------------------------
     def _check_proc(self, proc: int) -> None:
@@ -115,21 +124,17 @@ class PebblingState:
         return self.red_usage[proc]
 
     # ------------------------------------------------------------------
-    def _add_red(self, proc: int, node: NodeId, context: str) -> None:
-        if node in self.red[proc]:
+    def _add_red(self, proc: int, node: NodeId, rule: str) -> None:
+        red = self.red[proc]
+        if node in red:
             return
-        self.red[proc].add(node)
-        self.red_usage[proc] += self.dag.mu(node)
-        if self.red_usage[proc] > self.cache_size + 1e-9:
+        red.add(node)
+        usage = self.red_usage[proc] = self.red_usage[proc] + self._mu[node]
+        if usage > self.cache_size + 1e-9:
             raise InvalidScheduleError(
-                f"{context}: cache of processor {proc} exceeds capacity "
-                f"({self.red_usage[proc]:.6g} > {self.cache_size:.6g})"
+                f"{rule}({proc}, {node!r}): cache of processor {proc} exceeds capacity "
+                f"({usage:.6g} > {self.cache_size:.6g})"
             )
-
-    def _remove_red(self, proc: int, node: NodeId) -> None:
-        if node in self.red[proc]:
-            self.red[proc].remove(node)
-            self.red_usage[proc] -= self.dag.mu(node)
 
     # ------------------------------------------------------------------
     def apply_load(self, proc: int, node: NodeId) -> None:
@@ -139,7 +144,7 @@ class PebblingState:
             raise InvalidScheduleError(
                 f"LOAD({proc}, {node!r}): node has no blue pebble (not in slow memory)"
             )
-        self._add_red(proc, node, f"LOAD({proc}, {node!r})")
+        self._add_red(proc, node, "LOAD")
 
     def apply_save(self, proc: int, node: NodeId, blue_target: Optional[Set[NodeId]] = None) -> None:
         """Apply ``SAVE(proc, node)``; requires a red pebble of ``proc``.
@@ -159,27 +164,32 @@ class PebblingState:
     def apply_compute(self, proc: int, node: NodeId) -> None:
         """Apply ``COMPUTE(proc, node)``; requires all parents in cache."""
         self._check_proc(proc)
-        parents = self.dag.parents(node)
+        parents = self._parents.get(node)
+        if parents is None:
+            parents = self.dag.parents(node)  # raises GraphError: unknown node
         if not parents:
             raise InvalidScheduleError(
                 f"COMPUTE({proc}, {node!r}): source nodes are never computed"
             )
-        missing = [u for u in parents if u not in self.red[proc]]
-        if missing:
+        red = self.red[proc]
+        if not red.issuperset(parents):
+            missing = [u for u in parents if u not in red]
             raise InvalidScheduleError(
                 f"COMPUTE({proc}, {node!r}): parents {missing!r} not in cache of "
                 f"processor {proc}"
             )
-        self._add_red(proc, node, f"COMPUTE({proc}, {node!r})")
+        self._add_red(proc, node, "COMPUTE")
 
     def apply_delete(self, proc: int, node: NodeId) -> None:
         """Apply ``DELETE(proc, node)``; requires a red pebble of ``proc``."""
         self._check_proc(proc)
-        if node not in self.red[proc]:
+        red = self.red[proc]
+        if node not in red:
             raise InvalidScheduleError(
                 f"DELETE({proc}, {node!r}): node has no red pebble of processor {proc}"
             )
-        self._remove_red(proc, node)
+        red.remove(node)
+        self.red_usage[proc] -= self._mu[node]
 
     def apply(self, proc: int, op: Operation, blue_target: Optional[Set[NodeId]] = None) -> None:
         """Apply an arbitrary operation."""
@@ -195,6 +205,16 @@ class PebblingState:
             raise InvalidScheduleError(f"unknown operation type {op.op_type!r}")
 
     # ------------------------------------------------------------------
+    def _clone(self) -> "PebblingState":
+        new = PebblingState.__new__(PebblingState)
+        new.dag = self.dag
+        new.num_processors = self.num_processors
+        new.cache_size = self.cache_size
+        new._mu = self._mu
+        new._parents = self._parents
+        new._sinks = self._sinks
+        return new
+
     def copy(self) -> "PebblingState":
         """An independent snapshot of this configuration (same DAG object).
 
@@ -202,13 +222,27 @@ class PebblingState:
         every superstep so that a local schedule edit only needs a suffix
         replay instead of a full revalidation.
         """
-        new = PebblingState.__new__(PebblingState)
-        new.dag = self.dag
-        new.num_processors = self.num_processors
-        new.cache_size = self.cache_size
+        new = self._clone()
         new.red = [set(pebbles) for pebbles in self.red]
         new.red_usage = list(self.red_usage)
         new.blue = set(self.blue)
+        return new
+
+    def fork(self, procs: Iterable[int]) -> "PebblingState":
+        """A partial copy for replaying the compute phases of ``procs``.
+
+        The caches of ``procs`` (pebbles and usage) are copied; every other
+        cache and the slow memory are *shared* with ``self`` and must not be
+        mutated through the fork.  A compute phase reads and writes only its
+        own processor's cache, so this is all it needs — at a fraction of the
+        cost of :meth:`copy`.
+        """
+        new = self._clone()
+        new.red = list(self.red)
+        for proc in procs:
+            new.red[proc] = set(self.red[proc])
+        new.red_usage = list(self.red_usage)
+        new.blue = self.blue
         return new
 
     def same_configuration(self, other: "PebblingState") -> bool:
@@ -222,8 +256,8 @@ class PebblingState:
     # ------------------------------------------------------------------
     def is_terminal(self) -> bool:
         """Whether all sink nodes carry a blue pebble (terminal configuration)."""
-        return all(v in self.blue for v in self.dag.sinks())
+        return all(v in self.blue for v in self._sinks)
 
     def missing_sinks(self) -> List[NodeId]:
         """Sink nodes that do not yet carry a blue pebble."""
-        return [v for v in self.dag.sinks() if v not in self.blue]
+        return [v for v in self._sinks if v not in self.blue]

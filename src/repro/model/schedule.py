@@ -23,6 +23,9 @@ from repro.exceptions import ScheduleError
 from repro.model.instance import MbspInstance
 from repro.model.pebbling import Operation, OpType, compute_op, delete_op
 
+#: The operation types a compute phase may hold.
+_COMPUTE_PHASE_TYPES = (OpType.COMPUTE, OpType.DELETE)
+
 
 @dataclass
 class ProcessorSuperstep:
@@ -73,7 +76,7 @@ class ProcessorSuperstep:
     def validate_phase_types(self) -> None:
         """Check that the compute phase only contains COMPUTE/DELETE ops."""
         for op in self.compute_phase:
-            if op.op_type not in (OpType.COMPUTE, OpType.DELETE):
+            if op.op_type not in _COMPUTE_PHASE_TYPES:
                 raise ScheduleError(
                     f"compute phase may only contain COMPUTE/DELETE operations, "
                     f"found {op!r}"

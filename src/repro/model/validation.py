@@ -9,17 +9,24 @@ and enforces every rule of the model definition (Section 3 and Appendix A):
   save phase and queried in the load phase),
 * the initial configuration (only sources in slow memory, empty caches) and
   the terminal configuration (all sinks in slow memory).
+
+The rules live in two replay primitives: :func:`replay_compute_phase` (one
+processor's compute phase, which depends only on that processor's cache) and
+:func:`replay_superstep` (all four phases of one superstep, built on the
+former).  The full validator, :func:`replay_final_state` and the refinement
+engine's incremental revalidation all replay through them, so there is one
+copy of the pebbling rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Optional, Set
 
 from repro.dag.graph import NodeId
 from repro.exceptions import InvalidScheduleError
 from repro.model.pebbling import OpType, PebblingState
-from repro.model.schedule import MbspSchedule
+from repro.model.schedule import MbspSchedule, ProcessorSuperstep, Superstep
 
 
 @dataclass
@@ -49,9 +56,47 @@ class ValidationReport:
         }
 
 
+def replay_compute_phase(
+    state: PebblingState,
+    proc: int,
+    ps: ProcessorSuperstep,
+    superstep_index: int = 0,
+    report: Optional[ValidationReport] = None,
+) -> None:
+    """Replay the compute phase of processor ``proc`` on ``state``.
+
+    The single home of the compute-phase rules: :func:`replay_superstep`
+    calls it for every processor, and the refinement engine's edited-cell
+    precheck (:mod:`repro.refine.validation`) calls it for the processors a
+    move touched.  A compute phase reads and writes only ``proc``'s own cache,
+    so it can be replayed on its own.  Raises :class:`InvalidScheduleError`
+    on any violation (a :class:`~repro.exceptions.ScheduleError` for a
+    non-COMPUTE/DELETE operation); when a ``report`` is given, operation
+    counts and peak cache usage are recorded on it.
+    """
+    ps.validate_phase_types()  # so every op below is a COMPUTE or a DELETE
+    compute, apply_compute, apply_delete = OpType.COMPUTE, state.apply_compute, state.apply_delete
+    try:
+        for op in ps.compute_phase:
+            if op.op_type is compute:
+                apply_compute(proc, op.node)
+            else:
+                apply_delete(proc, op.node)
+            if report is not None:
+                if op.op_type is compute:
+                    report.num_computes += 1
+                    report.compute_events[op.node] = report.compute_events.get(op.node, 0) + 1
+                    report.computed_nodes.add(op.node)
+                else:
+                    report.num_deletes += 1
+                report.max_cache_used = max(report.max_cache_used, state.cache_used(proc))
+    except InvalidScheduleError as exc:
+        raise InvalidScheduleError(f"superstep {superstep_index}: {exc}") from None
+
+
 def replay_superstep(
     state: PebblingState,
-    step,
+    step: Superstep,
     superstep_index: int = 0,
     report: Optional[ValidationReport] = None,
 ) -> None:
@@ -69,20 +114,7 @@ def replay_superstep(
     s = superstep_index
     # 1. compute phases (COMPUTE / DELETE only)
     for p, ps in enumerate(step.processor_steps):
-        ps.validate_phase_types()
-        for op in ps.compute_phase:
-            try:
-                state.apply(p, op)
-            except InvalidScheduleError as exc:
-                raise InvalidScheduleError(f"superstep {s}: {exc}") from None
-            if report is not None:
-                if op.op_type is OpType.COMPUTE:
-                    report.num_computes += 1
-                    report.compute_events[op.node] = report.compute_events.get(op.node, 0) + 1
-                    report.computed_nodes.add(op.node)
-                else:
-                    report.num_deletes += 1
-                report.max_cache_used = max(report.max_cache_used, state.cache_used(p))
+        replay_compute_phase(state, p, ps, s, report)
     # 2. save phases: blue pebbles become visible only after all saves
     new_blue: Set[NodeId] = set()
     for p, ps in enumerate(step.processor_steps):

@@ -8,11 +8,15 @@ that make move evaluation cheap:
 * :class:`IncrementalCost` — mirrors the synchronous cost decomposition
   (per-superstep, per-processor compute/save/load sums plus the per-step
   ``L`` term for non-empty steps) and updates the total in ``O(P)`` per
-  edited superstep instead of ``O(schedule)``;
+  edited superstep instead of ``O(schedule)``.  :meth:`IncrementalCost.peek`
+  prices a move's :data:`Footprint` (its per-cell deltas) *without* editing
+  anything, so the engine can drop non-improving proposals before they touch
+  the schedule;
 * :class:`ScheduleEditor` — the only mutation path the move classes use.
   Every primitive edit updates the schedule *and* the cost state together,
   records an inverse closure for rollback, and tracks the affected superstep
-  range so validity can be re-checked by a localized suffix replay
+  range plus the cells whose compute phase changed, so validity can be
+  re-checked by an edited-cell precheck and a localized suffix replay
   (:class:`repro.refine.validation.IncrementalValidator`).
 
 A move is therefore: ``editor.begin()`` — apply primitives — read
@@ -21,7 +25,7 @@ A move is therefore: ``editor.begin()`` — apply primitives — read
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.dag.graph import NodeId
 from repro.model.pebbling import Operation, OpType
@@ -30,6 +34,18 @@ from repro.model.schedule import MbspSchedule, Superstep
 #: Names of the three node-list phases a :class:`ScheduleEditor` can edit.
 PHASES = ("save", "delete", "load")
 
+#: A move's cost footprint: ``(superstep, processor) -> (Δcompute, Δsave,
+#: Δload, Δops)``, the net change its edit makes to each cell's cost sums.
+#: A superstep the edit removes appears with deltas that empty it.
+Footprint = Dict[Tuple[int, int], Tuple[float, float, float, int]]
+
+#: Totals below this stay far from 2**53, so integer-valued sums are exact.
+_EXACT_LIMIT = 2.0 ** 50
+
+
+def _integral(value: float) -> bool:
+    return float(value).is_integer()
+
 
 class IncrementalCost:
     """Synchronous-cost state of a schedule, maintained under edits.
@@ -37,15 +53,22 @@ class IncrementalCost:
     The synchronous cost is ``sum_s [max_p comp(s,p) + max_p save(s,p) +
     max_p load(s,p) + L]`` over non-empty supersteps.  The per-cell sums are
     kept explicitly; editing one cell refreshes only that superstep's
-    contribution.
+    contribution.  The ω / μ weights are read into lookup tables once.
+
+    ``exact`` is true when every weight, ``g`` and ``L`` are integers and the
+    total is far below ``2**53``: then every sum here is exact, and
+    :meth:`peek` returns bit for bit the delta that applying the edit would
+    leave in :attr:`total`.
     """
 
     def __init__(self, schedule: MbspSchedule) -> None:
         instance = schedule.instance
-        self.dag = instance.dag
+        dag = self.dag = instance.dag
         self.g = instance.g
         self.L = instance.L
         self.num_processors = instance.num_processors
+        self.omega: Dict[NodeId, float] = {v: dag.omega(v) for v in dag}
+        self.mu: Dict[NodeId, float] = {v: dag.mu(v) for v in dag}
         self.comp: List[List[float]] = []
         self.save: List[List[float]] = []
         self.load: List[List[float]] = []
@@ -54,19 +77,26 @@ class IncrementalCost:
         self.total = 0.0
         for step in schedule.supersteps:
             self.append_step(step)
+        self.exact = (
+            _integral(self.g)
+            and _integral(self.L)
+            and all(_integral(w) for w in self.omega.values())
+            and all(_integral(w) for w in self.mu.values())
+            and abs(self.total) < _EXACT_LIMIT
+        )
 
     # ------------------------------------------------------------------
     def append_step(self, step: Superstep) -> None:
         """Append the cost rows of ``step`` (used during construction)."""
-        dag, g = self.dag, self.g
+        omega, mu, g = self.omega, self.mu, self.g
         self.comp.append(
-            [sum(dag.omega(v) for v in ps.computed_nodes()) for ps in step]
+            [sum(omega[v] for v in ps.computed_nodes()) for ps in step]
         )
         self.save.append(
-            [g * sum(dag.mu(v) for v in ps.save_phase) for ps in step]
+            [g * sum(mu[v] for v in ps.save_phase) for ps in step]
         )
         self.load.append(
-            [g * sum(dag.mu(v) for v in ps.load_phase) for ps in step]
+            [g * sum(mu[v] for v in ps.load_phase) for ps in step]
         )
         self.ops.append(
             [
@@ -86,6 +116,31 @@ class IncrementalCost:
             new = 0.0  # completely empty supersteps do not count
         self.total += new - self.contrib[s]
         self.contrib[s] = new
+
+    def peek(self, footprint: Footprint) -> float:
+        """The change of :attr:`total` that ``footprint`` describes, mutating nothing.
+
+        Each superstep the footprint names is re-priced from its current rows
+        plus the cell deltas; a superstep left without operations prices at
+        zero, exactly as removing it would.  On an :attr:`exact` state the
+        result equals the applied edit's ``total`` delta bit for bit.
+        """
+        rows: Dict[int, Tuple[List[float], List[float], List[float], List[int]]] = {}
+        for (s, p), (d_comp, d_save, d_load, d_ops) in footprint.items():
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = (
+                    self.comp[s][:], self.save[s][:], self.load[s][:], self.ops[s][:]
+                )
+            row[0][p] += d_comp
+            row[1][p] += d_save
+            row[2][p] += d_load
+            row[3][p] += d_ops
+        delta, L = 0.0, self.L
+        for s, (comp, save, load, ops) in rows.items():
+            new = max(comp) + max(save) + max(load) + L if any(ops) else 0.0
+            delta += new - self.contrib[s]
+        return delta
 
     # ------------------------------------------------------------------
     def update_cell(
@@ -131,8 +186,10 @@ class ScheduleEditor:
     pushes its inverse onto an undo stack, so a move that turns out to be
     non-improving or invalid is reverted exactly.  The editor also tracks the
     smallest superstep range affected by the pending move (``first_affected``
-    / ``last_affected``) and whether the superstep *structure* changed
-    (``structural``), which drives the localized revalidation.
+    / ``last_affected``), whether the superstep *structure* changed
+    (``structural``) and which ``(superstep, processor)`` cells had their
+    compute phase edited (``edited_cells``, in current superstep indices),
+    which drive the localized revalidation.
     """
 
     def __init__(self, schedule: MbspSchedule) -> None:
@@ -142,6 +199,7 @@ class ScheduleEditor:
         self.first_affected: Optional[int] = None
         self.last_affected: Optional[int] = None
         self.structural = False
+        self.edited_cells: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
@@ -150,6 +208,7 @@ class ScheduleEditor:
         self.first_affected = None
         self.last_affected = None
         self.structural = False
+        self.edited_cells = set()
 
     def commit(self) -> None:
         """Keep the pending move (drop its undo records)."""
@@ -170,13 +229,14 @@ class ScheduleEditor:
     # compute-phase primitives
     # ------------------------------------------------------------------
     def _compute_delta(self, op: Operation) -> float:
-        return self.cost.dag.omega(op.node) if op.op_type is OpType.COMPUTE else 0.0
+        return self.cost.omega[op.node] if op.op_type is OpType.COMPUTE else 0.0
 
     def pop_compute_op(self, s: int, p: int, index: int) -> Operation:
         """Remove and return the ``index``-th compute-phase operation of ``(s, p)``."""
         op = self.schedule.supersteps[s][p].compute_phase.pop(index)
         self.cost.update_cell(s, p, d_comp=-self._compute_delta(op), d_ops=-1)
         self._touch(s)
+        self.edited_cells.add((s, p))
         self._undo.append(lambda: self._raw_insert_compute(s, p, index, op))
         return op
 
@@ -184,6 +244,7 @@ class ScheduleEditor:
         """Insert ``op`` at ``index`` into the compute phase of ``(s, p)``."""
         self._raw_insert_compute(s, p, index, op)
         self._touch(s)
+        self.edited_cells.add((s, p))
         self._undo.append(lambda: self._raw_pop_compute(s, p, index))
 
     def _raw_insert_compute(self, s: int, p: int, index: int, op: Operation) -> None:
@@ -208,7 +269,7 @@ class ScheduleEditor:
         raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
     def _phase_delta(self, phase: str, node: NodeId) -> float:
-        return 0.0 if phase == "delete" else self.cost.g * self.cost.dag.mu(node)
+        return 0.0 if phase == "delete" else self.cost.g * self.cost.mu[node]
 
     def remove_phase_node(self, s: int, p: int, phase: str, index: int) -> NodeId:
         """Remove and return the ``index``-th node of a save/delete/load phase."""
@@ -259,6 +320,9 @@ class ScheduleEditor:
         self.schedule.supersteps.insert(s, step)
         self.cost.insert_step(s)
         self.structural = True
+        self.edited_cells = {
+            (t + 1 if t >= s else t, p) for t, p in self.edited_cells
+        }
         self._touch(s)
         self._undo.append(lambda: self._raw_remove_step(s))
 
@@ -269,6 +333,9 @@ class ScheduleEditor:
             raise ValueError(f"superstep {s} is not empty")
         self._raw_remove_step(s)
         self.structural = True
+        self.edited_cells = {
+            (t - 1 if t > s else t, p) for t, p in self.edited_cells if t != s
+        }
         self._touch(max(0, s - 1))
         self._undo.append(lambda: self._raw_insert_step(s, step))
 

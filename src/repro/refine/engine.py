@@ -16,8 +16,28 @@ neighborhood of :mod:`repro.refine.moves`.  The engine's contract:
 
 Costs are evaluated **incrementally**: a proposal costs ``O(P)`` per edited
 superstep (see :mod:`repro.refine.editing`), a full
-:func:`~repro.model.cost.schedule_cost` is never recomputed per move.  The
-default objective is the synchronous cost model; with ``synchronous=False``
+:func:`~repro.model.cost.schedule_cost` is never recomputed per move.
+
+Under hill climbing each proposal takes the path peek → apply → precheck →
+suffix replay, and most stop at the first step:
+
+1. **peek** — the move's cost footprint (:meth:`Move.footprint
+   <repro.refine.moves.Move.footprint>`) is priced by
+   :meth:`~repro.refine.editing.IncrementalCost.peek` without touching the
+   schedule; an inapplicable move or one failing the cost test is dropped
+   here and counted in :attr:`RefineResult.screened`.  The peek is used only
+   when the cost state is :attr:`~repro.refine.editing.IncrementalCost.exact`
+   (integer weights, ``g`` and ``L``), where it equals the applied delta bit
+   for bit, so screening changes no decision and no reported cost;
+2. **apply** — the survivors are applied through the editor, and acceptance
+   and the reported cost still come from the applied state;
+3. **precheck** and 4. **suffix replay** — the
+   :class:`~repro.refine.validation.IncrementalValidator` verdict.
+
+Annealing skips the peek: it applies every proposal first, so its RNG draws
+are unchanged.
+
+The default objective is the synchronous cost model; with ``synchronous=False``
 the sync state still screens proposals cheaply, but acceptance is gated on
 the exact asynchronous makespan — strict improvement under hill climbing, a
 Metropolis test on the makespan delta under annealing.  (The makespan is
@@ -111,6 +131,7 @@ class RefineResult:
     proposals: int = 0
     accepted: int = 0
     invalid: int = 0       # cost-accepted candidates rejected by the validator
+    screened: int = 0      # proposals dropped by the cost peek, never applied
     rounds: int = 0
     wall_time: float = 0.0
 
@@ -130,7 +151,9 @@ class RefineResult:
         """The standard ``extra_costs`` record of one refinement pass.
 
         Shared by every experiment runner that refines a schedule, so the
-        recorded keys cannot drift between them.
+        recorded keys cannot drift between them.  ``screened`` and
+        ``invalid`` stay out of it, so result records and fingerprints do not
+        depend on how proposals were screened.
         """
         return {
             "unrefined_cost": float(unrefined_cost),
@@ -142,7 +165,8 @@ class RefineResult:
         return (
             f"refine: {self.initial_cost:g} -> {self.final_cost:g} "
             f"({self.improvement_ratio:.3f}x) in {self.accepted} accepted / "
-            f"{self.proposals} proposed moves ({self.invalid} invalid), "
+            f"{self.proposals} proposed moves ({self.invalid} invalid, "
+            f"{self.screened} screened), "
             f"{self.rounds} rounds, {self.wall_time:.2f}s"
         )
 
@@ -185,6 +209,7 @@ class Refiner:
                 proposals=result.proposals,
                 accepted=result.accepted,
                 invalid=result.invalid,
+                screened=result.screened,
                 rounds=result.rounds,
                 cost_in=result.initial_cost,
                 cost_out=result.final_cost,
@@ -230,6 +255,11 @@ class Refiner:
             # the point)
             families = tuple(f for f in families if f not in ("split", "reorder"))
         deadline = None if config.max_time is None else start + config.max_time
+        # hill climbing rejects a move whose sync delta is >= ``threshold``
+        # (see the cost test below); with exact cost arithmetic the peek
+        # decides that test without touching the schedule
+        threshold = -_EPS if synchronous else _EPS
+        peek = not anneal and editor.cost.exact
 
         current_cost = initial_cost     # objective actually reported
         best_cost = initial_cost
@@ -260,6 +290,14 @@ class Refiner:
                     out_of_budget = True
                     break
                 result.proposals += 1
+                if peek:
+                    footprint = move.footprint(editor)
+                    if (
+                        footprint is None
+                        or editor.cost.peek(footprint) >= threshold
+                    ):
+                        result.screened += 1
+                        continue
                 sync_before = editor.cost.total
                 editor.begin()
                 if not move.apply(editor):
@@ -270,7 +308,7 @@ class Refiner:
                     if not metropolis(sync_delta):
                         editor.rollback()
                         continue
-                elif sync_delta >= (-_EPS if synchronous else _EPS):
+                elif sync_delta >= threshold:
                     # hill climbing accepts strict improvements only; under
                     # the asynchronous objective the sync delta is just a
                     # cheap screen, so sync-*neutral* moves (e.g. a load
@@ -295,7 +333,10 @@ class Refiner:
                 else:
                     new_cost = editor.cost.total
                 if not validator.revalidate(
-                    editor.first_affected, editor.last_affected, editor.structural
+                    editor.first_affected,
+                    editor.last_affected,
+                    editor.structural,
+                    editor.edited_cells,
                 ):
                     result.invalid += 1
                     editor.rollback()

@@ -9,6 +9,13 @@ that would break a model rule is simply rolled back.  This keeps every move
 class tiny while the validator remains the single source of truth for the
 model semantics.
 
+The hill-climbing families (``merge``, ``reassign``, ``load``, ``save``,
+``recompute``) also implement ``footprint``: the per-cell cost deltas their
+``apply`` would make (a :data:`~repro.refine.editing.Footprint`), or ``None``
+where ``apply`` would return False.  It reads the schedule and never edits
+it, so the engine can price a proposal with
+:meth:`~repro.refine.editing.IncrementalCost.peek` and drop it untouched.
+
 Move families (selectable through ``RefineConfig.moves``):
 
 ``merge``
@@ -40,11 +47,11 @@ Move families (selectable through ``RefineConfig.moves``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.model.pebbling import OpType, compute_op
 from repro.model.schedule import MbspSchedule
-from repro.refine.editing import ScheduleEditor
+from repro.refine.editing import Footprint, ScheduleEditor
 
 #: All known move family names (the default configuration enables them all).
 MOVE_FAMILIES = ("merge", "reassign", "split", "reorder", "load", "save", "recompute")
@@ -64,6 +71,14 @@ class Move:
         """
         raise NotImplementedError
 
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
+        """The cost footprint of :meth:`apply`, computed without editing.
+
+        ``None`` exactly where :meth:`apply` would return False.  Implemented
+        by the families the hill-climbing engine proposes.
+        """
+        raise NotImplementedError
+
     def describe(self) -> str:
         return repr(self)
 
@@ -76,18 +91,38 @@ class MergeSupersteps(Move):
 
     name = "merge"
 
-    def apply(self, editor: ScheduleEditor) -> bool:
-        steps = editor.schedule.supersteps
+    def _applicable(self, steps) -> bool:
         s = self.s
         if not 0 <= s < len(steps) - 1:
             return False
         src, dst = steps[s + 1], steps[s]
-        for p in range(dst.num_processors):
-            # a processor that loads in ``s`` and computes in ``s + 1`` would
-            # end up computing *before* those loads in the merged step; that
-            # is almost never valid, so skip the doomed validation replay
-            if dst[p].load_phase and src[p].compute_phase:
-                return False
+        # a processor that loads in ``s`` and computes in ``s + 1`` would end
+        # up computing *before* those loads in the merged step; that is
+        # almost never valid, so skip the doomed validation replay
+        return not any(
+            dst[p].load_phase and src[p].compute_phase
+            for p in range(dst.num_processors)
+        )
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
+        steps = editor.schedule.supersteps
+        if not self._applicable(steps):
+            return None
+        cost, s = editor.cost, self.s
+        cells: Footprint = {}
+        for p in range(steps[s].num_processors):
+            moved = (cost.comp[s + 1][p], cost.save[s + 1][p],
+                     cost.load[s + 1][p], cost.ops[s + 1][p])
+            cells[(s, p)] = moved
+            cells[(s + 1, p)] = (-moved[0], -moved[1], -moved[2], -moved[3])
+        return cells
+
+    def apply(self, editor: ScheduleEditor) -> bool:
+        steps = editor.schedule.supersteps
+        s = self.s
+        if not self._applicable(steps):
+            return False
+        src, dst = steps[s + 1], steps[s]
         for p in range(dst.num_processors):
             while src[p].compute_phase:
                 op = editor.pop_compute_op(s + 1, p, 0)
@@ -113,17 +148,38 @@ class ReassignCompute(Move):
 
     name = "reassign"
 
+    def _applicable(self, steps) -> bool:
+        s, p = self.s, self.p
+        if not 0 <= s < len(steps) or p == self.q:
+            return False
+        phase = steps[s][p].compute_phase
+        return (
+            0 <= self.index < len(phase)
+            and phase[self.index].op_type is OpType.COMPUTE
+        )
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
+        steps = editor.schedule.supersteps
+        if not self._applicable(steps):
+            return None
+        cost = editor.cost
+        ps = steps[self.s][self.p]
+        node = ps.compute_phase[self.index].node
+        work = cost.omega[node]
+        saved = node in ps.save_phase
+        io = _io(editor, node) if saved else 0.0
+        ops = 1 + saved + (node in ps.delete_phase)
+        return {
+            (self.s, self.p): (-work, -io, 0.0, -ops),
+            (self.s, self.q): (work, io, 0.0, ops),
+        }
+
     def apply(self, editor: ScheduleEditor) -> bool:
         steps = editor.schedule.supersteps
         s, p, q = self.s, self.p, self.q
-        if not 0 <= s < len(steps) or p == q:
+        if not self._applicable(steps):
             return False
-        ps = steps[s][p]
-        if not 0 <= self.index < len(ps.compute_phase):
-            return False
-        op = ps.compute_phase[self.index]
-        if op.op_type is not OpType.COMPUTE:
-            return False
+        op = steps[s][p].compute_phase[self.index]
         node = op.node
         editor.pop_compute_op(s, p, self.index)
         editor.insert_compute_op(s, q, len(steps[s][q].compute_phase), op)
@@ -211,13 +267,25 @@ class MoveLoad(Move):
 
     name = "load"
 
+    def _applicable(self, steps) -> bool:
+        return 0 <= self.t < self.s < len(steps) and 0 <= self.index < len(
+            steps[self.s][self.p].load_phase
+        )
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
+        steps = editor.schedule.supersteps
+        if not self._applicable(steps):
+            return None
+        io = _io(editor, steps[self.s][self.p].load_phase[self.index])
+        return {
+            (self.s, self.p): (0.0, 0.0, -io, -1),
+            (self.t, self.p): (0.0, 0.0, io, 1),
+        }
+
     def apply(self, editor: ScheduleEditor) -> bool:
         steps = editor.schedule.supersteps
         s, p, t = self.s, self.p, self.t
-        if not (0 <= t < s < len(steps)):
-            return False
-        ps = steps[s][p]
-        if not 0 <= self.index < len(ps.load_phase):
+        if not self._applicable(steps):
             return False
         node = editor.remove_phase_node(s, p, "load", self.index)
         editor.insert_phase_node(t, p, "load", len(steps[t][p].load_phase), node)
@@ -234,11 +302,20 @@ class RemoveLoad(Move):
 
     name = "load"
 
-    def apply(self, editor: ScheduleEditor) -> bool:
+    def _applicable(self, steps) -> bool:
+        return 0 <= self.s < len(steps) and 0 <= self.index < len(
+            steps[self.s][self.p].load_phase
+        )
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
         steps = editor.schedule.supersteps
-        if not 0 <= self.s < len(steps):
-            return False
-        if not 0 <= self.index < len(steps[self.s][self.p].load_phase):
+        if not self._applicable(steps):
+            return None
+        io = _io(editor, steps[self.s][self.p].load_phase[self.index])
+        return {(self.s, self.p): (0.0, 0.0, -io, -1)}
+
+    def apply(self, editor: ScheduleEditor) -> bool:
+        if not self._applicable(editor.schedule.supersteps):
             return False
         editor.remove_phase_node(self.s, self.p, "load", self.index)
         return True
@@ -255,13 +332,26 @@ class MoveSave(Move):
 
     name = "save"
 
+    def _applicable(self, steps) -> bool:
+        s, t = self.s, self.t
+        if t == s or not (0 <= s < len(steps) and 0 <= t < len(steps)):
+            return False
+        return 0 <= self.index < len(steps[s][self.p].save_phase)
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
+        steps = editor.schedule.supersteps
+        if not self._applicable(steps):
+            return None
+        io = _io(editor, steps[self.s][self.p].save_phase[self.index])
+        return {
+            (self.s, self.p): (0.0, -io, 0.0, -1),
+            (self.t, self.p): (0.0, io, 0.0, 1),
+        }
+
     def apply(self, editor: ScheduleEditor) -> bool:
         steps = editor.schedule.supersteps
         s, p, t = self.s, self.p, self.t
-        if t == s or not (0 <= s < len(steps) and 0 <= t < len(steps)):
-            return False
-        ps = steps[s][p]
-        if not 0 <= self.index < len(ps.save_phase):
+        if not self._applicable(steps):
             return False
         node = editor.remove_phase_node(s, p, "save", self.index)
         editor.insert_phase_node(t, p, "save", len(steps[t][p].save_phase), node)
@@ -278,11 +368,20 @@ class RemoveSave(Move):
 
     name = "save"
 
-    def apply(self, editor: ScheduleEditor) -> bool:
+    def _applicable(self, steps) -> bool:
+        return 0 <= self.s < len(steps) and 0 <= self.index < len(
+            steps[self.s][self.p].save_phase
+        )
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
         steps = editor.schedule.supersteps
-        if not 0 <= self.s < len(steps):
-            return False
-        if not 0 <= self.index < len(steps[self.s][self.p].save_phase):
+        if not self._applicable(steps):
+            return None
+        io = _io(editor, steps[self.s][self.p].save_phase[self.index])
+        return {(self.s, self.p): (0.0, -io, 0.0, -1)}
+
+    def apply(self, editor: ScheduleEditor) -> bool:
+        if not self._applicable(editor.schedule.supersteps):
             return False
         editor.remove_phase_node(self.s, self.p, "save", self.index)
         return True
@@ -305,17 +404,36 @@ class RecomputeInsteadOfLoad(Move):
 
     name = "recompute"
 
+    def _applicable(self, editor: ScheduleEditor) -> bool:
+        # "next" at the last superstep is only detected once the load is gone
+        steps = editor.schedule.supersteps
+        if not 0 <= self.s < len(steps):
+            return False
+        phase = steps[self.s][self.p].load_phase
+        if not 0 <= self.index < len(phase):
+            return False
+        # source nodes are never computed
+        return not editor.cost.dag.is_source(phase[self.index])
+
+    def footprint(self, editor: ScheduleEditor) -> Optional[Footprint]:
+        steps = editor.schedule.supersteps
+        s, p = self.s, self.p
+        if not self._applicable(editor):
+            return None
+        if self.where != "here" and s + 1 >= len(steps):
+            return None
+        node = steps[s][p].load_phase[self.index]
+        work, io = editor.cost.omega[node], _io(editor, node)
+        if self.where == "here":
+            return {(s, p): (work, 0.0, -io, 0)}
+        return {(s, p): (0.0, 0.0, -io, -1), (s + 1, p): (work, 0.0, 0.0, 1)}
+
     def apply(self, editor: ScheduleEditor) -> bool:
         steps = editor.schedule.supersteps
         s, p = self.s, self.p
-        if not 0 <= s < len(steps):
+        if not self._applicable(editor):
             return False
-        ps = steps[s][p]
-        if not 0 <= self.index < len(ps.load_phase):
-            return False
-        node = ps.load_phase[self.index]
-        if editor.cost.dag.is_source(node):
-            return False  # source nodes are never computed
+        node = steps[s][p].load_phase[self.index]
         editor.remove_phase_node(s, p, "load", self.index)
         if self.where == "here":
             editor.insert_compute_op(
@@ -326,6 +444,11 @@ class RecomputeInsteadOfLoad(Move):
                 return False
             editor.insert_compute_op(s + 1, p, 0, compute_op(node))
         return True
+
+
+def _io(editor: ScheduleEditor, node) -> float:
+    """The save/load cost ``g * mu(node)``, as the editor's primitives charge it."""
+    return editor.cost.g * editor.cost.mu[node]
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,17 @@ schedule through the pebbling validator after every accepted move would cost
 keeps a pebbling-state snapshot *before* every superstep, so checking a move
 only requires:
 
-1. cloning the snapshot before the first affected superstep,
-2. replaying forward (via :func:`repro.model.validation.replay_superstep`,
+1. an edited-cell precheck: the compute phases the move edited in its first
+   affected superstep are replayed (via
+   :func:`repro.model.validation.replay_compute_phase`) on a fork of that
+   superstep's snapshot — a compute phase depends only on its own
+   processor's cache — and a violation there rejects the move before any
+   snapshot is copied,
+2. cloning the snapshot before the first affected superstep,
+3. replaying forward (via :func:`repro.model.validation.replay_superstep`,
    the exact primitive of the full validator — the rules enforced are
    identical), and
-3. stopping early once the replay reaches an unedited superstep whose
+4. stopping early once the replay reaches an unedited superstep whose
    pebble configuration matches the recorded snapshot: from there on the
    old replay is guaranteed to repeat verbatim.
 
@@ -20,12 +26,12 @@ untouched, matching the editor's rollback of the schedule itself.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Collection, List, Optional, Tuple
 
 from repro.exceptions import InvalidScheduleError
 from repro.model.pebbling import PebblingState
 from repro.model.schedule import MbspSchedule
-from repro.model.validation import replay_superstep
+from repro.model.validation import replay_compute_phase, replay_superstep
 
 
 class IncrementalValidator:
@@ -62,6 +68,7 @@ class IncrementalValidator:
         first: Optional[int],
         last: Optional[int] = None,
         structural: bool = False,
+        edited_cells: Collection[Tuple[int, int]] = (),
     ) -> bool:
         """Check validity after an edit touching supersteps ``[first, last]``.
 
@@ -69,13 +76,25 @@ class IncrementalValidator:
         is valid; returns ``False`` (snapshots untouched) otherwise, in which
         case the caller must roll the edit back.  ``structural=True`` means
         supersteps were inserted/removed, which disables the matching-suffix
-        early exit (step indices shifted).
+        early exit (step indices shifted).  ``edited_cells`` are the
+        ``(superstep, processor)`` cells whose compute phase the edit changed
+        (:attr:`ScheduleEditor.edited_cells`); those in superstep ``first``
+        are prechecked before the suffix replay.  The verdict never depends
+        on them: the precheck only rejects what the replay would reject.
         """
         steps = self.schedule.supersteps
         n = len(steps)
         if first is None:
             return True  # nothing was edited
         first = max(0, min(first, len(self.snapshots) - 1))
+        procs = sorted(p for s, p in edited_cells if s == first)
+        if procs:
+            probe = self.snapshots[first].fork(procs)
+            try:
+                for p in procs:
+                    replay_compute_phase(probe, p, steps[first][p], first)
+            except InvalidScheduleError:
+                return False
         state = self.snapshots[first].copy()
         new_snapshots: List[PebblingState] = []
         try:
@@ -91,11 +110,12 @@ class IncrementalValidator:
                     # the remaining replay repeats the recorded one verbatim
                     self.snapshots[first:s] = new_snapshots
                     return True
-                new_snapshots.append(state.copy())
+                # the state before ``first`` is unchanged: keep its snapshot
+                new_snapshots.append(self.snapshots[s] if s == first else state.copy())
                 replay_superstep(state, steps[s], s)
         except InvalidScheduleError:
             return False
         if state.missing_sinks():
             return False
-        self.snapshots[first:] = new_snapshots + [state.copy()]
+        self.snapshots[first:] = new_snapshots + [state]
         return True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import InvalidScheduleError
+from repro.exceptions import GraphError, InvalidScheduleError
 from repro.model.pebbling import (
     Operation,
     OpType,
@@ -129,3 +129,45 @@ class TestPebblingState:
         state = PebblingState(diamond_dag, 2, 10)
         with pytest.raises(InvalidScheduleError):
             state.apply_load(5, "a")
+
+    def test_rule_violation_messages(self, diamond_dag):
+        state = PebblingState(diamond_dag, 1, cache_size=1)
+        with pytest.raises(InvalidScheduleError) as exc:
+            state.apply_compute(0, "b")
+        assert str(exc.value) == (
+            "COMPUTE(0, 'b'): parents ['a'] not in cache of processor 0"
+        )
+        with pytest.raises(InvalidScheduleError) as exc:
+            state.apply_compute(0, "a")
+        assert str(exc.value) == "COMPUTE(0, 'a'): source nodes are never computed"
+        state.apply_load(0, "a")
+        with pytest.raises(InvalidScheduleError) as exc:
+            state.apply_compute(0, "c")
+        assert str(exc.value) == (
+            "COMPUTE(0, 'c'): cache of processor 0 exceeds capacity (3 > 1)"
+        )
+
+    def test_unknown_node_still_raises_graph_error(self, diamond_dag):
+        state = PebblingState(diamond_dag, 1, 10)
+        with pytest.raises(GraphError, match="unknown node"):
+            state.apply_compute(0, "zz")
+
+    def test_fork_copies_only_the_named_caches(self, diamond_dag):
+        state = PebblingState(diamond_dag, 2, 10)
+        state.apply_load(0, "a")
+        state.apply_load(1, "a")
+        fork = state.fork([0])
+        fork.apply_compute(0, "b")
+        fork.apply_delete(0, "a")
+        assert fork.has_red(0, "b") and not fork.has_red(0, "a")
+        # the original is untouched ...
+        assert state.has_red(0, "a") and not state.has_red(0, "b")
+        assert state.cache_used(0) == diamond_dag.mu("a")
+        # ... and the other caches and slow memory are shared, not copied
+        assert fork.red[1] is state.red[1]
+        assert fork.blue is state.blue
+
+    def test_copies_share_the_weight_tables(self, diamond_dag):
+        state = PebblingState(diamond_dag, 1, 10)
+        assert state.copy()._mu is state._mu
+        assert state.fork([0])._parents is state._parents

@@ -1,5 +1,8 @@
 """Unit tests for schedule validation and the cost functions."""
 
+import inspect
+import typing
+
 import pytest
 
 from repro.exceptions import InvalidScheduleError
@@ -12,8 +15,11 @@ from repro.model.cost import (
 from repro.model.instance import make_instance
 from repro.model.pebbling import compute_op, delete_op
 from repro.model.schedule import MbspSchedule
+from repro.model import validation
+from repro.model.pebbling import PebblingState
 from repro.model.validation import (
     is_valid_schedule,
+    replay_compute_phase,
     replay_final_state,
     validate_schedule,
 )
@@ -51,6 +57,40 @@ def parallel_schedule(instance):
     step2[1].compute_phase.append(compute_op("d"))
     step2[1].save_phase.append("d")
     return schedule
+
+
+def test_public_validation_functions_have_resolvable_type_hints():
+    """Every annotation of :mod:`repro.model.validation` names an imported type."""
+    functions = [
+        obj
+        for name, obj in vars(validation).items()
+        if inspect.isfunction(obj)
+        and not name.startswith("_")
+        and obj.__module__ == validation.__name__
+    ]
+    assert {f.__name__ for f in functions} >= {"replay_superstep", "replay_compute_phase"}
+    for function in functions:
+        typing.get_type_hints(function)
+
+
+class TestReplayComputePhase:
+    def test_replays_one_processor_and_reports(self, diamond_instance):
+        schedule = sequential_schedule(diamond_instance)
+        dag = diamond_instance.dag
+        state = PebblingState(dag, 2, diamond_instance.cache_size)
+        state.apply_load(0, "a")
+        report = validation.ValidationReport()
+        replay_compute_phase(state, 0, schedule.supersteps[1][0], 1, report)
+        assert report.num_computes == 3
+        assert state.has_red(0, "d")
+        assert report.max_cache_used == state.cache_used(0)
+
+    def test_violation_is_prefixed_with_the_superstep(self, diamond_instance):
+        schedule = sequential_schedule(diamond_instance)
+        state = PebblingState(diamond_instance.dag, 2, diamond_instance.cache_size)
+        with pytest.raises(InvalidScheduleError) as exc:
+            replay_compute_phase(state, 0, schedule.supersteps[1][0], 7)
+        assert str(exc.value).startswith("superstep 7: COMPUTE(0, 'b'): parents")
 
 
 class TestValidation:

@@ -221,3 +221,19 @@ class TestDescribeStageTable:
         ]
         lines = describe_stage_table(stages)
         assert any("not started: race winner decided" in line for line in lines)
+
+
+def test_refine_span_reports_screened_proposals():
+    from repro.core.two_stage import baseline_schedule
+    from repro.refine import refine_schedule
+
+    instance = _config().instance_for(_dag())
+    base = baseline_schedule(instance, synchronous=True, seed=0).mbsp_schedule
+    untraced = refine_schedule(base, budget=800, seed=0)
+    with obs.trace_scope():
+        result = refine_schedule(base, budget=800, seed=0)
+        spans = obs.get_tracer().drain()
+    (span,) = [s for s in spans if s.name == "refine"]
+    assert result.screened > 0
+    assert span.attrs["screened"] == result.screened == untraced.screened
+    assert span.attrs["invalid"] == result.invalid

@@ -8,6 +8,7 @@ from repro.dag.generators import spmv
 from repro.model.cost import synchronous_cost
 from repro.model.instance import make_instance
 from repro.model.pebbling import compute_op
+from repro.model.schedule import MbspSchedule
 from repro.model.serialization import schedule_to_dict
 from repro.refine.editing import IncrementalCost, ScheduleEditor
 
@@ -40,6 +41,39 @@ class TestIncrementalCost:
         assert cost.total == pytest.approx(before)
         cost.remove_step(0)
         assert cost.total == pytest.approx(before)
+
+    def test_exact_on_integer_weights_only(self, schedule):
+        assert IncrementalCost(schedule).exact
+        instance = schedule.instance
+        halved_g = make_instance(
+            instance.dag, num_processors=instance.num_processors,
+            cache_factor=3.0, g=0.5, L=instance.L,
+        )
+        steps = [step.copy() for step in schedule.supersteps]
+        assert not IncrementalCost(MbspSchedule(halved_g, steps)).exact
+
+    def test_peek_prices_a_footprint_without_mutating(self, schedule):
+        cost = IncrementalCost(schedule)
+        rows = (
+            [r[:] for r in cost.comp], [r[:] for r in cost.save],
+            [r[:] for r in cost.load], [r[:] for r in cost.ops],
+            cost.contrib[:], cost.total,
+        )
+        assert cost.peek({}) == 0.0
+        s = max(range(len(cost.comp)), key=lambda t: max(cost.comp[t]))
+        p = cost.comp[s].index(max(cost.comp[s]))
+        # one unit of work less on the busiest cell of the busiest step
+        assert cost.peek({(s, p): (-1.0, 0.0, 0.0, 0)}) <= 0.0
+        # emptying a step prices it at zero, exactly as removing it
+        emptied = {
+            (s, q): (-cost.comp[s][q], -cost.save[s][q], -cost.load[s][q], -cost.ops[s][q])
+            for q in range(cost.num_processors)
+        }
+        assert cost.peek(emptied) == -cost.contrib[s]
+        after = (
+            cost.comp, cost.save, cost.load, cost.ops, cost.contrib, cost.total,
+        )
+        assert after == rows
 
 
 class TestScheduleEditor:
@@ -92,6 +126,23 @@ class TestScheduleEditor:
         assert editor.first_affected == 0
         assert editor.structural
         editor.rollback()
+
+    def test_edited_cells_follow_compute_edits_and_structure(self, schedule):
+        editor = ScheduleEditor(schedule)
+        editor.begin()
+        assert editor.edited_cells == set()
+        s = schedule.num_supersteps - 1
+        editor.insert_phase_node(s, 0, "save", 0, next(iter(schedule.dag.nodes)))
+        assert editor.edited_cells == set()  # not a compute-phase edit
+        editor.insert_compute_op(s, 1, 0, compute_op(next(iter(schedule.dag.nodes))))
+        assert editor.edited_cells == {(s, 1)}
+        editor.insert_empty_step(0)  # shifts the recorded cell
+        assert editor.edited_cells == {(s + 1, 1)}
+        editor.remove_empty_step(0)
+        assert editor.edited_cells == {(s, 1)}
+        editor.rollback()
+        editor.begin()
+        assert editor.edited_cells == set()
 
     def test_remove_empty_step_rejects_nonempty(self, schedule):
         editor = ScheduleEditor(schedule)

@@ -8,7 +8,8 @@ from repro.dag.generators import fork_join_dag, iterated_spmv, spmv
 from repro.exceptions import InvalidScheduleError
 from repro.model.cost import asynchronous_cost, synchronous_cost
 from repro.model.instance import make_instance
-from repro.model.validation import validate_schedule
+from repro.model.pebbling import PebblingState
+from repro.model.validation import is_valid_schedule, validate_schedule
 from repro.portfolio.members import schedule_digest
 from repro.refine import (
     MOVE_FAMILIES,
@@ -18,6 +19,7 @@ from repro.refine import (
     generate_moves,
     refine_schedule,
 )
+from repro.refine.editing import ScheduleEditor
 
 
 def _instance(dag_builder=lambda: spmv(4, seed=1), mem_seed=7, processors=2):
@@ -135,6 +137,36 @@ class TestRefiner:
         result = refine_schedule(baseline.mbsp_schedule, budget=500, seed=0)
         text = result.summary()
         assert "refine:" in text and "accepted" in text
+        assert f"{result.screened} screened" in text
+
+    def test_hill_climbing_screens_proposals_without_applying(self, baseline, monkeypatch):
+        applied = []
+        begin = ScheduleEditor.begin
+        monkeypatch.setattr(
+            ScheduleEditor, "begin", lambda self: applied.append(1) or begin(self)
+        )
+        result = refine_schedule(baseline.mbsp_schedule, budget=2000, seed=0)
+        assert result.screened > 0
+        assert result.screened + len(applied) == result.proposals
+
+    def test_annealing_screens_nothing(self, baseline):
+        config = RefineConfig(strategy="anneal", budget=500, seed=3)
+        assert Refiner(config).refine(baseline.mbsp_schedule).screened == 0
+
+    def test_inexact_weights_skip_the_peek(self):
+        instance = _instance()
+        for v in instance.dag.nodes:
+            instance.dag.set_mu(v, instance.dag.mu(v) + 0.25)
+        base = baseline_schedule(instance, synchronous=True, seed=0)
+        result = refine_schedule(base.mbsp_schedule, budget=500, seed=0)
+        assert result.screened == 0
+        validate_schedule(result.schedule)
+
+    def test_telemetry_keeps_screening_out_of_records(self, baseline):
+        result = refine_schedule(baseline.mbsp_schedule, budget=500, seed=0)
+        assert set(result.telemetry(baseline.cost)) == {
+            "unrefined_cost", "refine_accepted", "refine_proposals",
+        }
 
 
 class TestMoveGeneration:
@@ -179,6 +211,31 @@ class TestIncrementalValidator:
     def test_noop_revalidate_with_none_is_true(self, baseline):
         validator = IncrementalValidator(baseline.mbsp_schedule.copy())
         assert validator.revalidate(None) is True
+
+    def test_precheck_rejects_before_copying_any_snapshot(self, baseline, monkeypatch):
+        work = baseline.mbsp_schedule.copy()
+        validator = IncrementalValidator(work)
+        editor = ScheduleEditor(work)
+        copies = []
+        copy = PebblingState.copy
+        monkeypatch.setattr(
+            PebblingState, "copy", lambda self: copies.append(1) or copy(self)
+        )
+        rejected_without_copy = 0
+        for move in generate_moves(work, ("reassign",)):
+            editor.begin()
+            assert move.apply(editor)
+            if not is_valid_schedule(work, require_all_computed=False):
+                copies.clear()
+                assert validator.revalidate(
+                    editor.first_affected, editor.last_affected, editor.structural,
+                    editor.edited_cells,
+                ) is False
+                rejected_without_copy += not copies
+            editor.rollback()
+        # a reassigned compute whose parents are missing on the new
+        # processor fails in the edited compute phase itself
+        assert rejected_without_copy > 0
 
 
 def test_fork_join_refinement_on_one_processor():
