@@ -35,9 +35,9 @@ class BspIlpConfig:
     solver_options:
         Time limit / gap options passed to the ILP backend.
     backend:
-        Any registered ILP backend name — ``"scipy"`` (HiGHS), ``"bnb"``
-        (pure-Python branch and bound) or ``"auto"``; ``None`` selects the
-        process default (see :mod:`repro.ilp.backends`).
+        Any registered ILP backend name — ``"scipy"`` (HiGHS) or ``"bnb"``
+        (pure-Python branch and bound); ``None`` selects the process
+        default (see :mod:`repro.ilp.backends`).
     """
 
     max_supersteps: Optional[int] = None

@@ -67,7 +67,7 @@ solves by branch-and-bound nodes instead of wall clock when a sweep must be
 exactly reproducible regardless of machine load.
 
 Every ILP solve goes through the pluggable backend registry
-(:mod:`repro.ilp.backends`): ``--backend scipy|bnb|auto`` selects the solver
+(:mod:`repro.ilp.backends`): ``--backend scipy|bnb`` selects the solver
 per command (default: ``REPRO_ILP_BACKEND`` or ``scipy``).  The portfolio
 additionally supports bound-aware pruning: ``--prune-gap G`` skips the
 warm-started ``ilp`` member's solve when its baseline is provably within
@@ -89,9 +89,8 @@ python -m repro.cli portfolio --list-members
 python -m repro.cli dataset --which tiny --scale default
 python -m repro.cli serve bench --seed 7 --requests 5000 --rate 4 --output serve.json
 python -m repro.cli experiment --table 1 --limit 3 --time-limit 5 --workers 4 --cache-dir .repro-cache
-python -m repro.cli experiment --table 1 --backend auto --workers 4
 python -m repro.cli portfolio --members bspg+clairvoyant,cilk+lru,ilp --limit 4 --workers 4
-python -m repro.cli portfolio --backend auto --prune-gap 0.05 --processors 1
+python -m repro.cli portfolio --backend bnb --prune-gap 0.05 --processors 1
 ```
 """
 
@@ -1132,8 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
         p.add_argument("--backend", default=None, choices=available_backends(),
                        help="ILP solver backend for every solve of this command "
-                            "(default: REPRO_ILP_BACKEND or 'scipy'; 'auto' picks "
-                            "per model by size/structure)")
+                            "(default: REPRO_ILP_BACKEND or 'scipy')")
 
     def add_time_limit_argument(p: argparse.ArgumentParser) -> None:
         # None resolves in parse_args, so every command shares one default

@@ -91,7 +91,7 @@ class MbspIlpConfig:
     solver_options / backend:
         Passed to :func:`repro.ilp.solve`.  ``backend=None`` selects the
         process default (``REPRO_ILP_BACKEND`` or ``"scipy"``); see
-        :mod:`repro.ilp.backends` for the registered names (incl. ``"auto"``).
+        :mod:`repro.ilp.backends` for the registered names.
     """
 
     synchronous: bool = True

@@ -3,10 +3,9 @@
 The :class:`IlpModel` / :class:`Variable` / :func:`lin_sum` API is a minimal
 PuLP-like modeling layer; models are solved through :func:`solve`, which
 dispatches into the backend registry of :mod:`repro.ilp.backends`:
-``"scipy"`` (HiGHS via ``scipy.optimize.milp``, the default), ``"bnb"``
-(the pure-Python branch and bound) or ``"auto"`` (per-model choice by
-size/structure with error fallback).  ``backend=None`` selects the process
-default — ``REPRO_ILP_BACKEND`` or ``"scipy"``.
+``"scipy"`` (HiGHS through scipy's vendored binding, the default) or
+``"bnb"`` (the pure-Python branch and bound).  ``backend=None`` selects the
+process default — ``REPRO_ILP_BACKEND`` or ``"scipy"``.
 """
 
 from repro.ilp.cancellation import (
@@ -23,7 +22,6 @@ from repro.ilp.branch_and_bound import solve_with_branch_and_bound
 from repro.ilp.backends import (
     DEFAULT_BACKEND,
     ENV_BACKEND,
-    AutoBackend,
     FunctionBackend,
     SolverBackend,
     available_backends,
@@ -68,7 +66,6 @@ __all__ = [
     "solve_with_branch_and_bound",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
-    "AutoBackend",
     "FunctionBackend",
     "SolverBackend",
     "available_backends",

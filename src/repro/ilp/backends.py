@@ -1,4 +1,4 @@
-"""Pluggable ILP solver backends: a registry, dispatch, and the ``auto`` policy.
+"""Pluggable ILP solver backends: a registry and dispatch.
 
 Every MILP in the library (the full MBSP formulation, the BSP first-stage
 ILP, the acyclic-bipartition ILP) is solved through :func:`solve_model`,
@@ -8,11 +8,7 @@ which looks the backend up in a process-wide registry:
   (HiGHS branch and cut; the default, standing in for the paper's COPT);
 * ``"bnb"`` — :func:`repro.ilp.branch_and_bound.solve_with_branch_and_bound`
   (the pure-Python LP-based branch and bound, dependency-light and fully
-  transparent);
-* ``"auto"`` — picks per model by size/structure: tiny models (few integer
-  variables and constraints) go to the transparent ``bnb`` solver, anything
-  larger to HiGHS, and a :class:`~repro.exceptions.SolverError` in the
-  chosen backend falls back to the other one.
+  transparent).
 
 Backend selection threads through the whole stack: ``SolverOptions`` are
 shared by all backends (including ``warm_start_objective``, the incumbent
@@ -40,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
-from repro.exceptions import SolverError
 from repro.ilp.branch_and_bound import solve_with_branch_and_bound
 from repro.ilp.model import IlpModel
 from repro.ilp.scipy_backend import SolverOptions, solve_with_scipy
@@ -51,11 +46,6 @@ ENV_BACKEND = "REPRO_ILP_BACKEND"
 
 #: The built-in default backend (HiGHS via scipy).
 DEFAULT_BACKEND = "scipy"
-
-#: ``auto`` routes models with at most this many integer variables ...
-AUTO_BNB_MAX_INTEGERS = 20
-#: ... and at most this many constraints to the pure-Python solver.
-AUTO_BNB_MAX_CONSTRAINTS = 120
 
 
 @runtime_checkable
@@ -79,42 +69,6 @@ class FunctionBackend:
 
     def solve(self, model: IlpModel, options: Optional[SolverOptions] = None) -> IlpSolution:
         return self.fn(model, options)
-
-
-class AutoBackend:
-    """Structure-aware dispatch: small models to ``bnb``, large ones to HiGHS.
-
-    The pure-Python branch and bound is competitive only on tiny models, but
-    there it is fully transparent and dependency-free; everything bigger goes
-    to HiGHS.  If the chosen backend raises :class:`SolverError` (e.g. the
-    MILP interface is unavailable in a stripped-down scipy), the other
-    backend is tried before giving up — ``auto`` is therefore also the
-    resilient production choice.
-    """
-
-    name = "auto"
-
-    def choose(self, model: IlpModel) -> str:
-        """Name of the concrete backend ``auto`` would use for ``model``."""
-        stats = model.statistics()
-        if (
-            stats["integers"] <= AUTO_BNB_MAX_INTEGERS
-            and stats["constraints"] <= AUTO_BNB_MAX_CONSTRAINTS
-        ):
-            return "bnb"
-        return DEFAULT_BACKEND
-
-    def solve(self, model: IlpModel, options: Optional[SolverOptions] = None) -> IlpSolution:
-        primary = self.choose(model)
-        fallback = DEFAULT_BACKEND if primary != DEFAULT_BACKEND else "bnb"
-        try:
-            solution = get_backend(primary).solve(model, options)
-            chosen = primary
-        except SolverError:
-            solution = get_backend(fallback).solve(model, options)
-            chosen = fallback
-        solution.message = f"auto[{chosen}] {solution.message}".rstrip()
-        return solution
 
 
 # ----------------------------------------------------------------------
@@ -380,11 +334,10 @@ def solve_model(
 
 
 register_backend(
-    FunctionBackend("scipy", solve_with_scipy, "HiGHS branch and cut (scipy.optimize.milp)"),
+    FunctionBackend("scipy", solve_with_scipy, "HiGHS branch and cut (scipy's vendored binding)"),
     aliases=("highs",),
 )
 register_backend(
     FunctionBackend("bnb", solve_with_branch_and_bound, "pure-Python LP-based branch and bound"),
     aliases=("branch_and_bound", "branch-and-bound"),
 )
-register_backend(AutoBackend())

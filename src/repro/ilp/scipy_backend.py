@@ -1,23 +1,44 @@
-"""ILP solver backend based on :func:`scipy.optimize.milp` (HiGHS).
+"""ILP solver backend based on HiGHS, through scipy's vendored binding.
 
 This is the default backend of the library.  It plays the role of the COPT
 commercial solver used in the paper: a branch-and-cut MILP solver applied to
 exactly the same formulations, with configurable time limits.
+
+Every solve builds a ``HighsLp`` from the compiled model and runs it through
+``scipy.optimize._highspy._core`` directly.  With a
+:class:`~repro.ilp.cancellation.CancelToken` in scope, HiGHS's MIP-interrupt
+callback polls the token, so a cancelled solve (a lost race branch, an
+expired ``budget=`` stage) stops at the next branch-and-bound poll point;
+outside any scope no callback is installed and the solve pays nothing for
+it.
+
+The binding is a private scipy API.  When it fails to import, or raises
+while solving, :func:`scipy.optimize.milp` solves the same formulation
+instead.  That fallback warns once per process, counts every use as the
+``ilp.fallback.milp`` metric, cannot be interrupted mid-solve, and reports
+a node-limited solve without an incumbent as ``ERROR`` (``optimize.milp``
+has no status code for HiGHS's solution limit).
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize, sparse
 
 from repro.exceptions import SolverError
-from repro.ilp.expr import INF
-from repro.ilp.model import IlpModel, Sense
+from repro.ilp.model import CompiledModel, IlpModel, Sense
 from repro.ilp.solution import IlpSolution, SolutionStatus
+
+try:  # pragma: no cover - the fallback tests patch the handle instead
+    from scipy.optimize._highspy import _core as _highs
+except Exception:  # repro: lint-ignore[REP-C02] — any private-API breakage
+    _highs = None
 
 
 @dataclass
@@ -58,16 +79,15 @@ class SolverOptions:
         the compiled model and installs it as the *initial incumbent*: the
         solve can only improve on it, and exhausting the tree returns the
         warm solution itself (status ``OPTIMAL``) instead of
-        ``NO_SOLUTION``.  The scipy backend cannot hand HiGHS a starting
-        point through ``scipy.optimize.milp``; it derives the solution's
-        objective value and applies it as the cutoff row (as if
-        ``warm_start_objective`` had been passed).  An infeasible solution
-        is ignored (recorded in the result message), never an error; a
-        wrong-length one raises ``ValueError`` in both backends.  When both
-        warm-start fields are given, the tighter of the two prunes the
-        search while the solution remains the fallback incumbent (the
-        branch-and-bound backend reports ``FEASIBLE`` instead of claiming
-        optimality when a tighter external bound was in play).
+        ``NO_SOLUTION``.  The scipy backend does not hand HiGHS the starting
+        point; it derives the solution's objective value and applies it as
+        the cutoff row (as if ``warm_start_objective`` had been passed).
+        An infeasible solution is ignored (recorded in the result message),
+        never an error; a wrong-length one raises ``ValueError`` in both
+        backends.  When both warm-start fields are given, the tighter of the
+        two prunes the search while the solution remains the fallback
+        incumbent (the branch-and-bound backend reports ``FEASIBLE`` instead
+        of claiming optimality when a tighter external bound was in play).
     """
 
     time_limit: Optional[float] = 30.0
@@ -78,23 +98,54 @@ class SolverOptions:
     warm_start_solution: Optional[Sequence[float]] = None
 
 
-#: HiGHS's model-status text for kSolutionLimit; ``optimize.milp`` reports
-#: that status as 4 ("other") and names it only in its message
-_SOLUTION_LIMIT_MESSAGE = "Solution limit reached"
+#: HiGHS model statuses of a solve stopped at a limit (the interrupt raised
+#: through the cancel callback included): the incumbent, if any, stands
+_LIMIT_STATUSES = frozenset({
+    "kTimeLimit",
+    "kIterationLimit",
+    "kSolutionLimit",
+    "kInterrupt",
+    "kHighsInterrupt",
+    "kObjectiveBound",
+    "kObjectiveTarget",
+})
+
+_TERMINAL_STATUSES = {
+    "kOptimal": SolutionStatus.OPTIMAL,
+    "kInfeasible": SolutionStatus.INFEASIBLE,
+    "kUnbounded": SolutionStatus.UNBOUNDED,
+}
+
+#: ``optimize.milp`` status codes 0-3 as HiGHS model-status names (code 1
+#: covers every limit); its code 4, "other", has no single name
+_MILP_STATUS_NAMES = ("kOptimal", "kTimeLimit", "kInfeasible", "kUnbounded")
+
+#: the fallback warns once per process; race branches solve on threads
+_fallback_lock = threading.Lock()
+_fallback_warned = False
+
+
+def _status(name: str, has_values: bool) -> SolutionStatus:
+    """Map a HiGHS model-status name to a :class:`SolutionStatus`."""
+    if name in _TERMINAL_STATUSES:
+        return _TERMINAL_STATUSES[name]
+    if has_values:
+        # a limit, or an unclassified stop that still left an incumbent
+        return SolutionStatus.FEASIBLE
+    return SolutionStatus.NO_SOLUTION if name in _LIMIT_STATUSES else SolutionStatus.ERROR
 
 
 def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -> IlpSolution:
-    """Solve ``model`` with ``scipy.optimize.milp`` and return an :class:`IlpSolution`."""
+    """Solve ``model`` with HiGHS and return an :class:`IlpSolution`."""
     from repro.ilp.cancellation import clamped_time_limit, current_cancel_token
 
     options = options or SolverOptions()
     compiled = model.compile()
     start = time.perf_counter()
 
-    # cooperative cancellation: scipy.optimize.milp cannot be interrupted
-    # once running, so the hook is coarse — refuse to start when the current
-    # scope is already cancelled, and clamp the time limit to the scope's
-    # remaining deadline so a wall-clock budget still bounds the solve
+    # a scope that is already cancelled refuses to start; otherwise the
+    # solve is bounded by the scope's remaining deadline and stopped by a
+    # cancel at the next interrupt poll
     token = current_cancel_token()
     if token is not None and token.cancelled():
         return IlpSolution(
@@ -102,17 +153,39 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
             solve_time=0.0,
             message="solve cancelled before dispatch",
         )
-    effective_time_limit = clamped_time_limit(options.time_limit)
+    time_limit = clamped_time_limit(options.time_limit)
+    cutoff, warm_note = _objective_cutoff(compiled, options)
+    rows, row_lb, row_ub = _constraint_rows(compiled, cutoff)
 
-    constraints = []
-    if compiled.A.shape[0] > 0:
-        constraints.append(
-            optimize.LinearConstraint(compiled.A, compiled.con_lb, compiled.con_ub)
-        )
+    solution = None
+    if _highs is None:
+        reason = "scipy.optimize._highspy failed to import"
+    else:
+        try:
+            solution = _solve_highs(compiled, rows, row_lb, row_ub, time_limit, options, token)
+        except Exception as exc:  # repro: lint-ignore[REP-C02] — private binding
+            # the binding changed shape, rejected an array dtype, or died
+            # inside HiGHS: never fail the solve over it
+            reason = f"the HiGHS binding raised {type(exc).__name__}: {exc}"
+    if solution is None:
+        solution = _solve_milp(compiled, rows, row_lb, row_ub, time_limit, options, reason)
+
+    solution.solve_time = time.perf_counter() - start
+    solution.message += warm_note
+    return solution
+
+
+def _objective_cutoff(
+    compiled: CompiledModel, options: SolverOptions
+) -> Tuple[Optional[float], str]:
+    """The objective cutoff (compiled space) and a note for the message.
+
+    Candidates are the explicit ``warm_start_objective`` and the objective of
+    a feasible ``warm_start_solution``; the tighter one prunes, matching the
+    branch-and-bound backend.  An infeasible warm solution is noted and
+    ignored.
+    """
     sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
-    # cutoff candidates in compiled (minimization) space: the explicit
-    # objective and/or a feasible warm-start solution's objective — the
-    # tighter one prunes, matching the branch-and-bound backend
     cutoffs = []
     if options.warm_start_objective is not None:
         cutoffs.append(
@@ -120,10 +193,6 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
         )
     warm_note = ""
     if options.warm_start_solution is not None:
-        # scipy.optimize.milp cannot hand HiGHS a starting point; the best we
-        # can do with a warm-start *solution* is derive its objective value
-        # and apply it as the cutoff row below (infeasible solutions are
-        # noted and ignored, matching the branch-and-bound backend)
         candidate = np.asarray(options.warm_start_solution, dtype=float)
         if candidate.shape != (compiled.c.shape[0],):
             raise ValueError(
@@ -136,101 +205,146 @@ def solve_with_scipy(model: IlpModel, options: Optional[SolverOptions] = None) -
             )
         else:
             warm_note = " (warm-start solution rejected: infeasible)"
-    cutoff_value = None
-    if cutoffs:
-        # objective cutoff: only solutions at least as good as the known
-        # incumbent are feasible (compiled space is always a minimization)
-        cutoff = min(cutoffs)
-        tolerance = 1e-6 * max(1.0, abs(cutoff))
-        cutoff_value = cutoff + tolerance
+    if not cutoffs:
+        return None, warm_note
+    cutoff = min(cutoffs)
+    return cutoff + 1e-6 * max(1.0, abs(cutoff)), warm_note
 
-    # fine-grained cancellation: with a CancelToken in scope, drive the
-    # scipy-vendored HiGHS binding directly so the MIP-interrupt callback
-    # can stop the solve at the next poll point instead of at the clamped
-    # time limit (a raced branch stops burning CPU once the race has a
-    # winner).  Same formulation, same HiGHS, same status mapping; any
-    # failure inside the private binding returns None and the plain
-    # optimize.milp path below takes over unchanged.
-    result = None
+
+def _constraint_rows(
+    compiled: CompiledModel, cutoff: Optional[float]
+) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """The CSR constraint rows and their bounds, with the objective cutoff
+    row ``c @ x <= cutoff`` appended when ``cutoff`` is set (compiled space
+    is always a minimization, so only solutions at least as good as the
+    incumbent stay feasible)."""
+    rows = compiled.A.tocsr()
+    row_lb = np.asarray(compiled.con_lb, dtype=float)
+    row_ub = np.asarray(compiled.con_ub, dtype=float)
+    if cutoff is not None:
+        cut_row = sparse.csr_matrix(compiled.c.reshape(1, -1))
+        rows = sparse.vstack([rows, cut_row], format="csr")
+        row_lb = np.append(row_lb, -np.inf)
+        row_ub = np.append(row_ub, float(cutoff))
+    return rows, row_lb, row_ub
+
+
+def _solve_highs(compiled, rows, row_lb, row_ub, time_limit, options, token) -> IlpSolution:
+    """Run the model through the vendored HiGHS binding."""
+    inf = float(_highs.kHighsInf)
+    clip = lambda a: np.clip(np.asarray(a, dtype=float), -inf, inf)
+    lp = _highs.HighsLp()
+    lp.num_col_ = int(compiled.c.shape[0])
+    lp.num_row_ = int(rows.shape[0])
+    lp.col_cost_ = np.asarray(compiled.c, dtype=float)
+    lp.col_lower_ = clip(compiled.var_lb)
+    lp.col_upper_ = clip(compiled.var_ub)
+    lp.row_lower_ = clip(row_lb)
+    lp.row_upper_ = clip(row_ub)
+    if rows.shape[0]:
+        matrix = lp.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kRowwise
+        matrix.start_ = np.asarray(rows.indptr, dtype=np.int32)
+        matrix.index_ = np.asarray(rows.indices, dtype=np.int32)
+        matrix.value_ = np.asarray(rows.data, dtype=float)
+    lp.integrality_ = np.array([
+        _highs.HighsVarType.kInteger if flag else _highs.HighsVarType.kContinuous
+        for flag in np.asarray(compiled.integrality).astype(bool)
+    ])
+
+    solver = _highs._Highs()
+    solver.setOptionValue("output_flag", bool(options.verbose))
+    solver.setOptionValue("log_to_console", bool(options.verbose))
+    solver.setOptionValue("mip_rel_gap", float(options.mip_rel_gap))
+    if time_limit is not None:
+        solver.setOptionValue("time_limit", float(time_limit))
+    if options.node_limit is not None:
+        solver.setOptionValue("mip_max_nodes", int(options.node_limit))
+    if solver.passModel(lp) != _highs.HighsStatus.kOk:
+        raise SolverError("HiGHS rejected the model")
+
+    cancelled = []
     if token is not None:
-        from repro.ilp.highs_cancel import solve_with_highs_callback
+        def _interrupt(callback_type, message, data_out, data_in, user_data):
+            # polled at HiGHS's MIP interrupt points; the token read is
+            # lock-free and monotonic (cancel() only ever sets it)
+            if token.cancelled():
+                cancelled.append(True)
+                data_in.user_interrupt = True
 
-        result = solve_with_highs_callback(
-            compiled,
-            token,
-            cutoff=cutoff_value,
-            time_limit=effective_time_limit,
-            node_limit=options.node_limit,
-            mip_rel_gap=options.mip_rel_gap,
-            verbose=options.verbose,
-        )
+        if solver.setCallback(_interrupt, None) != _highs.HighsStatus.kOk:
+            raise SolverError("HiGHS rejected the interrupt callback")
+        solver.startCallbackInt(int(_highs.cb.HighsCallbackType.kCallbackMipInterrupt))
+    solver.run()
 
-    if result is None:
-        if cutoff_value is not None:
-            constraints.append(
-                optimize.LinearConstraint(
-                    sparse.csr_matrix(compiled.c.reshape(1, -1)), -np.inf, cutoff_value
-                )
-            )
-        constraints = constraints or None
-        bounds = optimize.Bounds(compiled.var_lb, compiled.var_ub)
-
-        milp_options = {
-            "disp": options.verbose,
-            "mip_rel_gap": options.mip_rel_gap,
-        }
-        if effective_time_limit is not None:
-            milp_options["time_limit"] = float(effective_time_limit)
-        if options.node_limit is not None:
-            milp_options["node_limit"] = int(options.node_limit)
-
-        try:
-            result = optimize.milp(
-                c=compiled.c,
-                constraints=constraints,
-                bounds=bounds,
-                integrality=compiled.integrality,
-                options=milp_options,
-            )
-        except (ValueError, TypeError, ArithmeticError) as exc:  # pragma: no cover - defensive
-            # scipy.optimize.milp rejects malformed inputs with ValueError /
-            # TypeError; ArithmeticError covers numerical blowups in HiGHS glue
-            raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
-
-    elapsed = time.perf_counter() - start
-    sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
-
-    # scipy.optimize.milp status codes:
-    #   0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other
-    values = np.asarray(result.x) if result.x is not None else None
-    objective = None
-    if values is not None:
-        objective = sign * float(compiled.c @ values) + compiled.objective_constant
-
-    code = result.status
-    if code == 4 and _SOLUTION_LIMIT_MESSAGE in str(getattr(result, "message", "")):
-        # a node limit stops HiGHS with kSolutionLimit, which optimize.milp
-        # has no code for; it is a limit, as in highs_cancel._status_code
-        code = 1
-    if code == 0:
-        status = SolutionStatus.OPTIMAL
-    elif code == 1:
-        status = SolutionStatus.FEASIBLE if values is not None else SolutionStatus.NO_SOLUTION
-    elif code == 2:
-        status = SolutionStatus.INFEASIBLE
-    elif code == 3:
-        status = SolutionStatus.UNBOUNDED
-    else:
-        status = SolutionStatus.FEASIBLE if values is not None else SolutionStatus.ERROR
-
-    mip_gap = getattr(result, "mip_gap", None)
-    node_count = int(getattr(result, "mip_node_count", 0) or 0)
+    name = solver.getModelStatus().name
+    solution = solver.getSolution()
+    info = solver.getInfo()
+    values = np.asarray(solution.col_value, dtype=float) if solution.value_valid else None
+    message = f"HiGHS model status: {name}"
+    if cancelled:
+        message += " (cancelled by CancelToken mid-solve)"
+    gap = float(info.mip_gap)
     return IlpSolution(
-        status=status,
-        objective=objective,
+        status=_status(name, values is not None),
+        objective=_objective(compiled, values),
         values=values,
-        mip_gap=None if mip_gap is None else float(mip_gap),
-        solve_time=elapsed,
-        message=str(getattr(result, "message", "")) + warm_note,
-        node_count=node_count,
+        mip_gap=gap if np.isfinite(gap) else None,
+        message=message,
+        node_count=max(int(info.mip_node_count), 0),  # a pure LP reports -1
     )
+
+
+def _solve_milp(compiled, rows, row_lb, row_ub, time_limit, options, reason) -> IlpSolution:
+    """Solve through :func:`scipy.optimize.milp` when the binding is unusable."""
+    from repro import obs
+
+    global _fallback_warned
+    obs.count("ilp.fallback.milp")
+    with _fallback_lock:
+        first, _fallback_warned = not _fallback_warned, True
+    if first:
+        warnings.warn(
+            f"solving ILPs through scipy.optimize.milp because {reason}; "
+            "solves can no longer be cancelled mid-solve",
+            UserWarning,
+            stacklevel=3,
+        )
+    milp_options = {"disp": options.verbose, "mip_rel_gap": options.mip_rel_gap}
+    if time_limit is not None:
+        milp_options["time_limit"] = float(time_limit)
+    if options.node_limit is not None:
+        milp_options["node_limit"] = int(options.node_limit)
+    constraints = [optimize.LinearConstraint(rows, row_lb, row_ub)] if rows.shape[0] else None
+    try:
+        result = optimize.milp(
+            c=compiled.c,
+            constraints=constraints,
+            bounds=optimize.Bounds(compiled.var_lb, compiled.var_ub),
+            integrality=compiled.integrality,
+            options=milp_options,
+        )
+    except (ValueError, TypeError, ArithmeticError) as exc:  # pragma: no cover - defensive
+        # scipy.optimize.milp rejects malformed inputs with ValueError /
+        # TypeError; ArithmeticError covers numerical blowups in HiGHS glue
+        raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
+
+    values = np.asarray(result.x) if result.x is not None else None
+    name = _MILP_STATUS_NAMES[result.status] if result.status < 4 else "kNotset"
+    gap = getattr(result, "mip_gap", None)
+    return IlpSolution(
+        status=_status(name, values is not None),
+        objective=_objective(compiled, values),
+        values=values,
+        mip_gap=None if gap is None or not np.isfinite(gap) else float(gap),
+        message=f"optimize.milp: {result.message}",
+        node_count=int(getattr(result, "mip_node_count", 0) or 0),
+    )
+
+
+def _objective(compiled: CompiledModel, values: Optional[np.ndarray]) -> Optional[float]:
+    """Objective of ``values`` in the model's original space."""
+    if values is None:
+        return None
+    sign = 1.0 if compiled.sense is Sense.MINIMIZE else -1.0
+    return sign * float(compiled.c @ values) + compiled.objective_constant

@@ -28,7 +28,7 @@ entry.
 Three mechanisms make the expensive members cheaper or avoidable:
 
 * ``config.ilp_backend`` selects the ILP solver backend per job
-  (``scipy``/``bnb``/``auto``, see :mod:`repro.ilp.backends`);
+  (``scipy``/``bnb``, see :mod:`repro.ilp.backends`);
 * ``prune_gap`` enables *bound-aware pruning*, decided per pipeline stage:
   before a prunable stage (``ilp``, ``refine``) runs, the incumbent cost is
   compared against the instance's

@@ -19,7 +19,7 @@ from repro.ilp import (
     solve,
     solver_call_stats,
 )
-from repro.ilp.backends import AUTO_BNB_MAX_INTEGERS, _ALIASES, _REGISTRY
+from repro.ilp.backends import _ALIASES, _REGISTRY
 
 
 def knapsack_model():
@@ -44,18 +44,10 @@ def two_constraint_knapsack_model():
     return model, x
 
 
-def big_model(num_binaries=AUTO_BNB_MAX_INTEGERS + 5):
-    """A model too large for auto's pure-Python routing threshold."""
-    model = IlpModel("big")
-    xs = [model.add_binary(f"x{i}") for i in range(num_binaries)]
-    model.add_constraint(sum(xs[1:], xs[0]) <= num_binaries // 2)
-    model.maximize(sum(xs[1:], xs[0]))
-    return model
-
-
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"scipy", "bnb", "auto"}
+        assert set(available_backends()) >= {"scipy", "bnb"}
+        assert "auto" not in available_backends()
 
     def test_aliases_resolve_to_canonical(self):
         assert get_backend("highs").name == "scipy"
@@ -125,6 +117,11 @@ class TestEnvironmentDefault:
         with pytest.warns(UserWarning, match="unknown ILP backend 'gurobi'"):
             assert default_backend() == "scipy"
 
+    def test_retired_auto_env_backend_warns_and_falls_back(self, monkeypatch):
+        monkeypatch.setenv(ENV_BACKEND, "auto")
+        with pytest.warns(UserWarning, match="unknown ILP backend 'auto'"):
+            assert default_backend() == "scipy"
+
     def test_empty_env_value_is_default(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "  ")
         assert default_backend() == "scipy"
@@ -135,23 +132,6 @@ class TestEnvironmentDefault:
         solution = solve(model, SolverOptions(time_limit=10))
         assert solution.objective == pytest.approx(14.0)
         assert "branch-and-bound" in solution.message
-
-
-class TestAutoBackend:
-    def test_small_models_route_to_bnb(self):
-        model, _ = knapsack_model()
-        assert get_backend("auto").choose(model) == "bnb"
-        solution = solve(model, SolverOptions(time_limit=10), backend="auto")
-        assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.objective == pytest.approx(14.0)
-        assert solution.message.startswith("auto[bnb]")
-
-    def test_large_models_route_to_scipy(self):
-        model = big_model()
-        assert get_backend("auto").choose(model) == "scipy"
-        solution = solve(model, SolverOptions(time_limit=10), backend="auto")
-        assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.message.startswith("auto[scipy]")
 
 
 class TestSolverCallStats:

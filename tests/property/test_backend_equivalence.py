@@ -33,7 +33,7 @@ from repro.ilp import (
     solve,
 )
 
-ALL_BACKENDS = tuple(available_backends())  # ("auto", "bnb", "scipy")
+ALL_BACKENDS = tuple(available_backends())  # ("bnb", "scipy")
 
 #: Exact solves: no early gap-based stops, generous wall clock.
 EXACT = SolverOptions(time_limit=60.0, mip_rel_gap=0.0)

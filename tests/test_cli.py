@@ -53,12 +53,14 @@ class TestParser:
 
     def test_backend_arguments(self):
         for command in (["schedule"], ["experiment"], ["portfolio"]):
-            args = cli.build_parser().parse_args(command + ["--backend", "auto"])
-            assert args.backend == "auto"
+            args = cli.build_parser().parse_args(command + ["--backend", "bnb"])
+            assert args.backend == "bnb"
 
     def test_unknown_backend_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["portfolio", "--backend", "gurobi"])
+        with pytest.raises(SystemExit):  # the retired per-model auto backend
+            cli.build_parser().parse_args(["portfolio", "--backend", "auto"])
 
     TIME_LIMIT_COMMANDS = (
         ["schedule"], ["refine"], ["pipeline", "run", "--spec", "ilp"], ["experiment"],
@@ -200,11 +202,11 @@ class TestPortfolioCommand:
     def test_portfolio_reports_backend_and_pruning(self, capsys):
         exit_code = cli.main([
             "portfolio", "--members", "bspg+clairvoyant,cilk+lru",
-            "--limit", "1", "--time-limit", "0.5", "--backend", "auto",
+            "--limit", "1", "--time-limit", "0.5", "--backend", "bnb",
         ])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "ilp backend: auto" in out
+        assert "ilp backend: bnb" in out
         assert "bound pruning:" in out
 
     def test_portfolio_no_prune_flag(self, capsys):
@@ -249,7 +251,7 @@ class TestBackendPlumbing:
     def test_schedule_command_accepts_backend(self, capsys):
         exit_code = cli.main([
             "schedule", "--generator", "spmv", "--size", "3", "--processors", "1",
-            "--method", "ilp", "--time-limit", "1", "--backend", "auto",
+            "--method", "ilp", "--time-limit", "1", "--backend", "bnb",
         ])
         assert exit_code == 0
         assert "synchronous cost" in capsys.readouterr().out
