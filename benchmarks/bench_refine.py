@@ -37,7 +37,8 @@ from pathlib import Path
 
 from repro.core.two_stage import baseline_schedule
 from repro.experiments.datasets import tiny_dataset
-from repro.experiments.runner import ExperimentConfig, run_instance
+from repro.experiments.runner import ILP_TABLE_SPEC, ExperimentConfig
+from repro.pipeline import Pipeline
 from repro.refine import refine_schedule
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -46,6 +47,7 @@ from helpers import RESULTS_DIR, env_backend, env_limit, env_time_limit  # noqa:
 
 def run_bench(limit=None, time_limit=5.0, refine_budget=3000, seed=0):
     config = ExperimentConfig(name="bench-refine", ilp_time_limit=time_limit)
+    ilp_pipeline = Pipeline(ILP_TABLE_SPEC)
     rows = []
     for dag in tiny_dataset(limit=limit):
         instance = config.instance_for(dag)
@@ -58,17 +60,17 @@ def run_bench(limit=None, time_limit=5.0, refine_budget=3000, seed=0):
         refine_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        ilp = run_instance(dag, config, instance=instance, baseline=base)
+        ilp = ilp_pipeline.run(config=config, instance=instance)
         ilp_time = time.perf_counter() - t0
 
-        gap = base.cost - ilp.ilp_cost
+        gap = base.cost - ilp.cost
         closed = (base.cost - refined.final_cost) / gap if gap > 1e-9 else None
         rows.append({
             "instance": dag.name,
             "nodes": dag.num_nodes,
             "base_cost": base.cost,
             "refined_cost": refined.final_cost,
-            "ilp_cost": ilp.ilp_cost,
+            "ilp_cost": ilp.cost,
             "closed_gap": closed,
             "base_time": base_time,
             "refine_time": refine_time,

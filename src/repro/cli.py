@@ -1,6 +1,6 @@
 """Command-line interface for the MBSP scheduling library.
 
-Nine sub-commands are provided:
+Twelve sub-commands are provided:
 
 * ``schedule``   — generate (or load) a DAG, schedule it with a chosen method
   and print costs, validation results and an optional schedule rendering;
@@ -33,8 +33,9 @@ Nine sub-commands are provided:
   cache-hit rate).  The timeline is virtual, so the JSON summary
   (``--output FILE.json``) is byte-identical across repeats, machines and
   ``--workers`` counts — the CI determinism gate diffs two runs;
-* ``experiment`` — run one of the paper's table experiments and print the
-  comparison against the paper's reference values;
+* ``experiment`` — run one of the paper's table experiments (Tables 1, 2
+  and 4, each a pipeline spec run through the pipeline runner) and print
+  the comparison against the paper's reference values;
 * ``obs``        — the unified tracing & metrics layer (:mod:`repro.obs`):
   ``obs export`` merges the per-process spill files of a run traced with
   ``REPRO_TRACE=<dir>`` into one Chrome trace-event file (Perfetto /
@@ -49,14 +50,24 @@ Nine sub-commands are provided:
   through ``--members`` and/or full specs through repeatable ``--pipeline``
   flags; ``--list-members`` prints every known member with its canonical
   pipeline.  Unknown member names warn and are skipped (matching the
-  ``REPRO_*`` environment-knob convention) instead of failing the sweep.
+  ``REPRO_*`` environment-knob convention) instead of failing the sweep;
+* ``lint``       — the static determinism/concurrency analyzer
+  (:mod:`repro.lint`) over Python sources, gated against
+  ``lint-baseline.json`` (exit 0 clean, 1 findings, 2 usage error);
+* ``check``      — statically validate pipeline specs, serve policy tiers
+  and plan shardability without executing anything;
+* ``learn``      — learned member selection (:mod:`repro.learn`):
+  ``learn mine`` turns JSONL results files into a byte-stable history,
+  ``learn select`` predicts which members to run per instance and
+  ``learn report`` summarizes a history.
 
 Refinement threads through everything: ``schedule --refine`` post-optimizes
-the produced schedule, ``experiment --refine`` refines every per-instance
-result, and ``portfolio --refine`` adds a refined variant for every
-requested member (``"<member>+refine"`` for legacy names, ``"<spec>|refine"``
-for pipeline specs; ``--refine-budget`` bounds the move proposals per
-schedule, ``--refine-strategy hill|anneal`` picks the search strategy).
+the produced schedule, ``experiment --refine`` appends a ``|refine`` stage
+to the table's pipeline, and ``portfolio --refine`` adds a refined variant
+for every requested member (``"<member>+refine"`` for legacy names,
+``"<spec>|refine"`` for pipeline specs; ``--refine-budget`` bounds the move
+proposals per schedule, ``--refine-strategy hill|anneal`` picks the search
+strategy).
 
 The ``experiment``, ``portfolio`` and ``exec`` commands run on one
 :class:`repro.exec.Session`: ``--workers N`` fans instances out over N
@@ -444,11 +455,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(format_results_table(results, "Table 1", paper_reference.TABLE1))
     elif args.table == 2:
         results = table2(limit=args.limit,
-                         config=ExperimentConfig(cache_factor=5.0,
-                                                 ilp_time_limit=args.time_limit,
-                                                 ilp_node_limit=args.node_limit,
-                                                 **_backend_kwargs(args),
-                                                 **refine_kwargs),
+                         config=config.variant(name="table2", cache_factor=5.0),
                          session=session)
         print(format_results_table(results, "Table 2", paper_reference.TABLE2))
     elif args.table == 4:
@@ -1328,9 +1335,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "race(a,b,...), budget=<s>s, stage@backend and "
                             "the sweep syntax key={a,b,c}")
         p.add_argument("--members", default=None,
-                       help="comma-separated legacy member names to add "
-                            "(default when nothing is given: the default "
-                            "portfolio members)")
+                       help="comma-separated member names or pipeline specs "
+                            "to add (use --pipeline for a spec that itself "
+                            "contains commas; default when nothing is "
+                            "given: the default portfolio members)")
         p.add_argument("--which", choices=["tiny", "small"], default="tiny")
         p.add_argument("--scale", choices=["default", "paper"], default="default")
         p.add_argument("--limit", type=int, default=None,

@@ -9,12 +9,11 @@ from repro.experiments.datasets import (
 )
 from repro.experiments.runner import (
     ExperimentConfig,
+    ILP_TABLE_SPEC,
     InstanceResult,
     geometric_mean,
     run_dataset,
-    run_instance,
     run_instance_with_baselines,
-    run_divide_and_conquer_instance,
 )
 from repro.experiments.parallel import ExperimentJob
 from repro.experiments.reporting import (
@@ -51,12 +50,11 @@ __all__ = [
     "tiny_dataset",
     "tiny_dataset_specs",
     "ExperimentConfig",
+    "ILP_TABLE_SPEC",
     "InstanceResult",
     "geometric_mean",
     "run_dataset",
-    "run_instance",
     "run_instance_with_baselines",
-    "run_divide_and_conquer_instance",
     "ExperimentJob",
     "format_results_table",
     "read_jsonl",

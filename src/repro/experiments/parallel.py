@@ -2,9 +2,13 @@
 
 The paper's experiments sweep many instances x many scheduler
 configurations.  Each (instance, configuration) pair is one
-:class:`ExperimentJob`: an experiment *kind* (which per-instance runner to
-call), a serialized DAG, an
+:class:`ExperimentJob`: an experiment *kind*, a serialized DAG, an
 :class:`~repro.experiments.runner.ExperimentConfig` and extra parameters.
+There are two kinds.  A ``portfolio`` job runs one pipeline spec (its
+``member`` parameter) through the pipeline runner; every table except
+Table 3 and every portfolio, ``repro exec`` and serve job is one.  A
+``baselines`` job runs Table 3's comparison, whose BSP-ILP first stage
+solves at half the ILP time limit, which no pipeline spec expresses.
 Every job has a stable content hash (:meth:`ExperimentJob.key`) over the
 DAG structure, weights and the full configuration — including the per-job
 ILP solver backend (``ExperimentConfig.ilp_backend``), so sweeps over
@@ -22,8 +26,7 @@ node limits (CLI: ``--node-limit``) for sweeps that must be exactly
 reproducible.
 
 Job kinds are dispatched in :func:`execute_job` (the function worker
-processes run), so new kinds (e.g. the scheduler portfolio in
-:mod:`repro.portfolio`) plug in without touching the execution core.
+processes run).
 """
 
 from __future__ import annotations
@@ -39,13 +42,11 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.runner import (
     ExperimentConfig,
     InstanceResult,
-    run_divide_and_conquer_instance,
-    run_instance,
     run_instance_with_baselines,
 )
 
 #: Job kinds understood by :func:`execute_job`.
-JOB_KINDS = ("instance", "baselines", "dac", "portfolio")
+JOB_KINDS = ("baselines", "portfolio")
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,8 @@ def execute_job(job: ExperimentJob) -> InstanceResult:
 def _dispatch_job(job: ExperimentJob) -> InstanceResult:
     dag = job.dag()
     params = dict(job.params)
-    if job.kind == "instance":
-        return run_instance(dag, job.config)
     if job.kind == "baselines":
         return run_instance_with_baselines(dag, job.config)
-    if job.kind == "dac":
-        return run_divide_and_conquer_instance(dag, job.config, **params)
     if job.kind == "portfolio":
         # imported lazily: repro.portfolio itself builds jobs of this module
         from repro.portfolio.members import run_member

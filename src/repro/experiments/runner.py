@@ -1,21 +1,24 @@
 """Experiment runner: schedules benchmark instances and collects costs.
 
-All experiment functions in :mod:`repro.experiments.tables` and ``figures``
-are thin wrappers around :func:`run_instance` / :func:`run_dataset`, which
-execute the two-stage baselines and the ILP-based schedulers on one instance
-and record the costs, improvement ratios and solver diagnostics.
+The paper's tables in :mod:`repro.experiments.tables` run through
+:func:`run_dataset`, which submits one pipeline spec per instance to a
+:class:`repro.exec.Session`: :data:`ILP_TABLE_SPEC` (the two-stage
+baseline, then the holistic ILP) for Tables 1 and 4, the P = 1 experiment
+and the no-recompute ablation, and ``dac(max_part_size=N)`` for Table 2.
+The pipeline runner (:mod:`repro.pipeline`) executes them, exactly as it
+executes the portfolio, ``repro exec`` and serve jobs.  Table 3 keeps its
+own runner, :func:`run_instance_with_baselines`: its BSP-ILP first stage
+runs at half the ILP time limit, which no pipeline spec expresses.
 
-:func:`run_dataset` turns a dataset into one
-:class:`~repro.experiments.parallel.ExperimentJob` per instance and runs
-the batch on a :class:`repro.exec.Session`; the session's worker pool,
-content-hash cache and JSONL stream/resume apply (CLI: ``repro experiment
---workers N --cache-dir DIR --results FILE --resume``).
+The session's worker pool, content-hash cache and JSONL stream/resume
+apply to every table (CLI: ``repro experiment --workers N --cache-dir DIR
+--results FILE --resume``).
 
 Environment knobs (respected by the default configuration):
 
 * ``REPRO_ILP_TIME_LIMIT`` — per-ILP-solve time limit in seconds (default 10);
 * ``REPRO_ILP_BACKEND`` — ILP solver backend for every solve dispatched by
-  the configuration (``scipy``/``bnb``/``auto``; default ``scipy``, see
+  the configuration (``scipy``/``bnb``; default ``scipy``, see
   :mod:`repro.ilp.backends`);
 * ``REPRO_BENCH_SCALE`` — ``default`` or ``paper`` dataset scale;
 * ``REPRO_BENCH_LIMIT`` — only run the first N instances of each dataset;
@@ -41,9 +44,12 @@ from repro.model.instance import MbspInstance, make_instance
 from repro.core.full_ilp import MbspIlpConfig
 from repro.core.scheduler import MbspIlpScheduler
 from repro.core.two_stage import baseline_schedule, run_two_stage
-from repro.core.divide_conquer import DivideAndConquerScheduler
-from repro.core.acyclic_partition import PartitionConfig
-from repro.refine import RefineConfig, Refiner
+from repro.refine import RefineConfig
+
+#: The pipeline of the ILP tables (Tables 1 and 4, the P = 1 experiment and
+#: the no-recompute ablation): the two-stage baseline, then the holistic ILP
+#: warm-started from the baseline's cost.
+ILP_TABLE_SPEC = "baseline|ilp(warm=objective)"
 
 
 def _env_float(name: str, default: float) -> float:
@@ -102,9 +108,9 @@ class ExperimentConfig:
     seed: int = 0
     # local-search refinement knobs; part of the job hash, so sweeps
     # with different refinement settings never collide in the result cache.
-    # ``refine.enabled`` switches post-optimization on for the per-instance
-    # runners; the explicit "<member>+refine" portfolio members refine
-    # regardless (using these budget/seed/strategy knobs).
+    # ``refine.enabled`` has one meaning: run_dataset appends a "|refine"
+    # stage to the table pipelines.  Every refine stage (table, portfolio
+    # member or spec) uses these budget/seed/strategy knobs.
     refine: RefineConfig = field(default_factory=RefineConfig)
 
     def instance_for(self, dag: ComputationalDag) -> MbspInstance:
@@ -209,68 +215,33 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def run_instance(
-    dag: ComputationalDag,
-    config: ExperimentConfig,
-    *,
-    instance: Optional[MbspInstance] = None,
-    baseline=None,
-) -> InstanceResult:
-    """Run the main comparison (two-stage baseline vs. full ILP) on one DAG.
-
-    ``instance`` and ``baseline`` let callers that already materialized them
-    (e.g. the portfolio's bound-pruning check) avoid recomputing; both must
-    stem from the same ``config`` when provided.
-    """
-    if instance is None:
-        instance = config.instance_for(dag)
-    base = baseline if baseline is not None else baseline_schedule(
-        instance, synchronous=config.synchronous, seed=config.seed
-    )
-    scheduler = MbspIlpScheduler(config.ilp_config())
-    result = scheduler.schedule(instance, baseline=base)
-    ilp_cost = result.best_cost
-    extra: Dict[str, float] = {}
-    if config.refine.enabled:
-        refined = Refiner(config.refine).refine(
-            result.best_schedule, synchronous=config.synchronous
-        )
-        extra = refined.telemetry(result.best_cost)
-        ilp_cost = min(ilp_cost, refined.final_cost)
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=base.cost,
-        ilp_cost=ilp_cost,
-        solver_status=result.solver_status,
-        solve_time=result.solve_time,
-        extra_costs=extra,
-    )
-
-
 def run_dataset(
     dags: Sequence[ComputationalDag],
     config: ExperimentConfig,
+    spec: str,
     verbose: bool = False,
-    kind: str = "instance",
     session=None,
-    **job_params,
 ) -> List[InstanceResult]:
-    """Run one experiment ``kind`` over a dataset on a :class:`~repro.exec.Session`.
+    """Run one pipeline ``spec`` over a dataset on a :class:`~repro.exec.Session`.
 
-    ``kind`` selects the per-instance runner (``"instance"``,
-    ``"baselines"`` or ``"dac"``, see :mod:`repro.experiments.parallel`);
-    extra keyword arguments are forwarded to it.  Without a ``session`` the
-    batch runs serially on a fresh, cache-less ``Session()``.
+    Each instance becomes one ``portfolio`` job carrying the canonical
+    spec, so the result records name it (``member``) and repeat the cost as
+    ``extra_costs["member_cost"]``.  With ``config.refine.enabled`` the
+    canonical spec gains a trailing ``|refine`` stage (canonical first, so
+    a legacy name such as ``ilp`` keeps its pipeline).  Without a
+    ``session`` the batch runs serially on a fresh, cache-less
+    ``Session()``.
     """
-    from repro.exec import Session
-    from repro.experiments.parallel import ExperimentJob
+    from repro.exec import Session, plan_pipelines
+    from repro.portfolio.members import resolve_member
 
+    spec = resolve_member(spec)
+    if config.refine.enabled:
+        spec = f"{spec}|refine"
     if session is None:
         session = Session()
     start = time.perf_counter()
-    jobs = [ExperimentJob.make(kind, dag, config, **job_params) for dag in dags]
-    results = session.run(jobs)
+    results = session.run(plan_pipelines([spec], dags, config))
     if verbose:  # pragma: no cover - console convenience
         for result in results:
             print(
@@ -326,72 +297,6 @@ def run_instance_with_baselines(dag: ComputationalDag, config: ExperimentConfig)
             "bsp_ilp": bsp_ilp_base.cost,
             "bsp_ilp_plus_ilp": stronger.best_cost,
         },
-    )
-
-
-def run_divide_and_conquer(
-    dag: ComputationalDag,
-    config: ExperimentConfig,
-    max_part_size: int = 22,
-    partition_time_limit: float = 3.0,
-    instance: Optional[MbspInstance] = None,
-):
-    """Run the divide-and-conquer scheduler; returns its full result object.
-
-    Used by :func:`run_divide_and_conquer_instance` (which reduces it to an
-    :class:`InstanceResult`) and by the refined ``dac+refine`` portfolio
-    member, which needs the actual schedule to post-optimize.  A caller that
-    already materialized the ``instance`` (e.g. for a bound check) can pass
-    it to avoid rebuilding.
-    """
-    if instance is None:
-        instance = config.instance_for(dag)
-    base = baseline_schedule(instance, synchronous=config.synchronous, seed=config.seed)
-    scheduler = DivideAndConquerScheduler(
-        ilp_config=config.ilp_config(),
-        partition_config=PartitionConfig(
-            max_part_size=max_part_size,
-            solver_options=SolverOptions(time_limit=partition_time_limit),
-            backend=config.ilp_backend,
-        ),
-    )
-    return scheduler.schedule(instance, baseline=base)
-
-
-def run_divide_and_conquer_instance(
-    dag: ComputationalDag,
-    config: ExperimentConfig,
-    max_part_size: int = 22,
-    partition_time_limit: float = 3.0,
-) -> InstanceResult:
-    """The Table 2 comparison: two-stage baseline vs. divide-and-conquer ILP.
-
-    Unlike the warm-started full ILP, the divide-and-conquer schedule is
-    reported as-is (it can be worse than the baseline, as in the paper).
-    """
-    result = run_divide_and_conquer(
-        dag,
-        config,
-        max_part_size=max_part_size,
-        partition_time_limit=partition_time_limit,
-    )
-    dac_cost = result.dac_cost
-    extra: Dict[str, float] = {"parts": float(result.partition.num_parts)}
-    if config.refine.enabled:
-        # opt-in post-optimization (``--refine``): the refined cost replaces
-        # the as-is divide-and-conquer cost, never making it worse
-        refined = Refiner(config.refine).refine(
-            result.dac_schedule, synchronous=config.synchronous
-        )
-        extra.update(refined.telemetry(dac_cost))
-        dac_cost = min(dac_cost, refined.final_cost)
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=result.baseline.cost,
-        ilp_cost=dac_cost,
-        solver_status="divide-and-conquer",
-        extra_costs=extra,
     )
 
 

@@ -4,6 +4,11 @@ Every function returns the list of :class:`InstanceResult` rows it produced
 (so benchmarks and tests can assert on them) and can print a formatted table
 comparable to the corresponding table in the paper.
 
+Tables 1 and 4, the P = 1 experiment and the recomputation ablation run the
+pipeline :data:`~repro.experiments.runner.ILP_TABLE_SPEC`; Table 2 runs
+``dac(max_part_size=N)``.  With ``config.refine.enabled`` each gains a
+trailing ``|refine`` stage.  Table 3 runs its own ``baselines`` job.
+
 Pass a :class:`repro.exec.Session` (``session=...``) to parallelise, cache
 or stream a sweep: its worker pool, cache and stats are then shared across
 every batch submitted to it (``repro.cli`` wires ``--workers``/
@@ -19,6 +24,7 @@ from repro.experiments import paper_reference
 from repro.experiments.datasets import small_dataset, tiny_dataset
 from repro.experiments.reporting import format_results_table
 from repro.experiments.runner import (
+    ILP_TABLE_SPEC,
     ExperimentConfig,
     InstanceResult,
     dataset_limit,
@@ -47,7 +53,9 @@ def table1(
 ) -> List[InstanceResult]:
     """Synchronous MBSP cost of the two-stage baseline vs. the full ILP."""
     config = config or ExperimentConfig(name="base")
-    results = run_dataset(_tiny(limit), config, verbose=verbose, session=session)
+    results = run_dataset(
+        _tiny(limit), config, ILP_TABLE_SPEC, verbose=verbose, session=session
+    )
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Table 1 (base case)", paper_reference.TABLE1))
     return results
@@ -63,8 +71,14 @@ def table3(
     session=None,
 ) -> List[InstanceResult]:
     """The five-column comparison of Table 3 on the tiny dataset."""
+    from repro.exec import Session
+    from repro.experiments.parallel import ExperimentJob
+
     config = config or ExperimentConfig(name="base")
-    results = run_dataset(_tiny(limit), config, kind="baselines", session=session)
+    if session is None:
+        session = Session()
+    jobs = [ExperimentJob.make("baselines", dag, config) for dag in _tiny(limit)]
+    results = session.run(jobs)
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Table 3 (main columns)", paper_reference.TABLE1))
     return results
@@ -104,7 +118,9 @@ def table4(
     dags = _tiny(limit)
     out: Dict[str, List[InstanceResult]] = {}
     for name, config in configs.items():
-        out[name] = run_dataset(dags, config, verbose=verbose, session=session)
+        out[name] = run_dataset(
+            dags, config, ILP_TABLE_SPEC, verbose=verbose, session=session
+        )
         if verbose:  # pragma: no cover
             ref = paper_reference.TABLE4.get(name, paper_reference.TABLE1)
             print(format_results_table(out[name], f"Table 4 [{name}]", ref))
@@ -124,7 +140,7 @@ def table2(
     """Baseline vs. divide-and-conquer ILP on the "small" dataset (r=5*r0)."""
     config = config or ExperimentConfig(name="table2", cache_factor=5.0)
     results = run_dataset(
-        _small(limit), config, kind="dac", max_part_size=max_part_size, session=session
+        _small(limit), config, f"dac(max_part_size={max_part_size})", session=session
     )
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Table 2 (divide-and-conquer)", paper_reference.TABLE2))
@@ -142,7 +158,9 @@ def p1_experiment(
 ) -> List[InstanceResult]:
     """P = 1: DFS + clairvoyant baseline vs. the ILP (rarely improves)."""
     config = (config or ExperimentConfig()).variant(name="p1", num_processors=1)
-    results = run_dataset(_tiny(limit), config, verbose=verbose, session=session)
+    results = run_dataset(
+        _tiny(limit), config, ILP_TABLE_SPEC, verbose=verbose, session=session
+    )
     if verbose:  # pragma: no cover
         print(format_results_table(results, "Single-processor red-blue pebbling (P=1)"))
     return results
@@ -162,8 +180,8 @@ def recomputation_ablation(
     no_recompute = base.variant(name="no_recompute", allow_recomputation=False)
     dags = _tiny(limit)
     results = {
-        "with_recompute": run_dataset(dags, base, verbose=verbose, session=session),
-        "no_recompute": run_dataset(dags, no_recompute, verbose=verbose, session=session),
+        name: run_dataset(dags, cfg, ILP_TABLE_SPEC, verbose=verbose, session=session)
+        for name, cfg in (("with_recompute", base), ("no_recompute", no_recompute))
     }
     if verbose:  # pragma: no cover
         pairs = zip(results["with_recompute"], results["no_recompute"])

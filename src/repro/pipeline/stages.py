@@ -39,6 +39,10 @@ TWO_STAGE_POLICIES = ("clairvoyant", "lru", "fifo")
 
 DEFAULT_POLICY = "clairvoyant"
 
+#: Defaults of the ``dac`` stage options (the paper's Table 2 setting).
+DAC_MAX_PART_SIZE = 22
+DAC_PARTITION_TIME_LIMIT = 3.0
+
 
 def _canonical_options(pairs) -> str:
     inner = ",".join(f"{key}={value}" for key, value in sorted(pairs))
@@ -385,16 +389,24 @@ class DacStage:
     def run(
         self, instance: MbspInstance, incumbent: Optional[Incumbent], ctx: StageContext
     ) -> StageResult:
-        from repro.experiments.runner import run_divide_and_conquer
+        from repro.core.acyclic_partition import PartitionConfig
+        from repro.core.divide_conquer import DivideAndConquerScheduler
+        from repro.core.two_stage import baseline_schedule
+        from repro.ilp import SolverOptions
 
-        kwargs = {}
-        if self.max_part_size is not None:
-            kwargs["max_part_size"] = self.max_part_size
-        if self.partition_time_limit is not None:
-            kwargs["partition_time_limit"] = self.partition_time_limit
-        result = run_divide_and_conquer(
-            instance.dag, ctx.config, instance=instance, **kwargs
+        time_limit = self.partition_time_limit
+        if time_limit is None:
+            time_limit = DAC_PARTITION_TIME_LIMIT
+        base = baseline_schedule(instance, synchronous=ctx.synchronous, seed=ctx.seed)
+        scheduler = DivideAndConquerScheduler(
+            ilp_config=ctx.config.ilp_config(),
+            partition_config=PartitionConfig(
+                max_part_size=self.max_part_size or DAC_MAX_PART_SIZE,
+                solver_options=SolverOptions(time_limit=time_limit),
+                backend=ctx.config.ilp_backend,
+            ),
         )
+        result = scheduler.schedule(instance, baseline=base)
         return StageResult(
             stage=self.spec_token(),
             schedule=result.dac_schedule,
@@ -462,7 +474,10 @@ register_stage(
             max_part_size=_int_option(options, "max_part_size", "dac"),
             partition_time_limit=_float_option(options, "partition_time_limit", "dac"),
         ),
-        options=(("max_part_size", "22"), ("partition_time_limit", "3")),
+        options=(
+            ("max_part_size", str(DAC_MAX_PART_SIZE)),
+            ("partition_time_limit", f"{DAC_PARTITION_TIME_LIMIT:g}"),
+        ),
     ),
     aliases=("divide-and-conquer", "divide_and_conquer"),
 )

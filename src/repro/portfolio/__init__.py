@@ -11,11 +11,9 @@ spec).  Public API: :class:`Portfolio`, :class:`PortfolioResult`,
 from repro.portfolio.members import (
     DEFAULT_MEMBERS,
     MEMBER_SPECS,
-    PRUNABLE_MEMBERS,
     PRUNED_STATUS_PREFIX,
     REFINE_SUFFIX,
     available_members,
-    base_member_name,
     is_pruned,
     is_prunable_member,
     is_refined_member,
@@ -34,11 +32,9 @@ from repro.portfolio.portfolio import (
 __all__ = [
     "DEFAULT_MEMBERS",
     "MEMBER_SPECS",
-    "PRUNABLE_MEMBERS",
     "PRUNED_STATUS_PREFIX",
     "REFINE_SUFFIX",
     "available_members",
-    "base_member_name",
     "is_pruned",
     "is_prunable_member",
     "is_refined_member",

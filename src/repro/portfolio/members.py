@@ -64,13 +64,11 @@ from repro.pipeline.stages import TWO_STAGE_POLICIES, TWO_STAGE_SCHEDULERS
 __all__ = [
     "DEFAULT_MEMBERS",
     "MEMBER_SPECS",
-    "PRUNABLE_MEMBERS",
     "PRUNED_STATUS_PREFIX",
     "REFINE_SUFFIX",
     "TWO_STAGE_POLICIES",
     "TWO_STAGE_SCHEDULERS",
     "available_members",
-    "base_member_name",
     "is_pruned",
     "is_prunable_member",
     "is_refined_member",
@@ -86,10 +84,6 @@ DEFAULT_MEMBERS = ("bspg+clairvoyant", "cilk+lru", "ilp")
 #: Legacy member name -> canonical pipeline spec (the declarative member
 #: table; every entry is executed by the generic :class:`Pipeline` runner).
 MEMBER_SPECS: Dict[str, str] = dict(LEGACY_MEMBER_SPECS)
-
-#: Members supporting bound-aware pruning (legacy tuple; prefer
-#: :func:`is_prunable_member`, which also understands pipeline specs).
-PRUNABLE_MEMBERS = ("ilp",)
 
 
 def available_members() -> List[str]:
@@ -132,12 +126,6 @@ def resolve_member(member: str) -> str:
 def is_refined_member(member: str) -> bool:
     """Whether ``member`` names a refined (``"...+refine"``) pipeline."""
     return member.strip().lower().endswith(REFINE_SUFFIX)
-
-
-def base_member_name(member: str) -> str:
-    """The base pipeline of a refined member (identity for base members)."""
-    name = member.strip().lower()
-    return name[: -len(REFINE_SUFFIX)] if name.endswith(REFINE_SUFFIX) else name
 
 
 def is_prunable_member(member: str) -> bool:

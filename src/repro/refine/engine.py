@@ -71,8 +71,9 @@ class RefineConfig:
     ----------
     enabled:
         Consumed by the experiment harness (``ExperimentConfig.refine``):
-        whether the per-instance runners post-optimize their schedules.  The
-        explicit ``"<member>+refine"`` portfolio members refine regardless.
+        whether the table runner appends a ``|refine`` stage to the table
+        pipelines.  Pipelines with their own refine stage (``"<member>+refine"``
+        members, ``"...|refine"`` specs) refine regardless.
     budget:
         Maximum number of move *proposals* examined (applied tentatively and
         evaluated); the deterministic resource knob.

@@ -15,7 +15,12 @@ from repro.exceptions import ConfigurationError
 from repro.exec import Session, SessionStats
 from repro.experiments.parallel import ExperimentJob, execute_job
 from repro.experiments.reporting import read_jsonl
-from repro.experiments.runner import ExperimentConfig, InstanceResult, run_dataset
+from repro.experiments.runner import (
+    ILP_TABLE_SPEC,
+    ExperimentConfig,
+    InstanceResult,
+    run_dataset,
+)
 
 
 def _dags(count=3):
@@ -58,13 +63,13 @@ class TestExperimentJob:
             "portfolio", dags[0], CFG.variant(num_processors=4), member="bspg+clairvoyant"
         )
         other_member = ExperimentJob.make("portfolio", dags[0], CFG, member="cilk+lru")
-        other_kind = ExperimentJob.make("instance", dags[0], CFG)
+        other_kind = ExperimentJob.make("baselines", dags[0], CFG)
         keys = {j.key() for j in (base, other_dag, other_cfg, other_member, other_kind)}
         assert len(keys) == 5
 
     def test_dag_roundtrip(self):
         dag = _dags(1)[0]
-        job = ExperimentJob.make("instance", dag, CFG)
+        job = _fast_jobs([dag])[0]
         rebuilt = job.dag()
         assert rebuilt.name == dag.name
         assert set(rebuilt.edges()) == set(dag.edges())
@@ -75,7 +80,7 @@ class TestExperimentJob:
             ExperimentJob.make("quantum", _dags(1)[0], CFG)
 
     def test_execute_job_unknown_kind(self):
-        job = ExperimentJob.make("instance", _dags(1)[0], CFG)
+        job = _fast_jobs(_dags(1))[0]
         broken = ExperimentJob(kind="quantum", dag_data=job.dag_data, config=CFG)
         with pytest.raises(ConfigurationError):
             execute_job(broken)
@@ -97,7 +102,10 @@ class TestEngineExecution:
         dag = fork_join_dag(width=3, stages=1)
         assign_random_memory_weights(dag, seed=3)
         dag.name = "fj"
-        jobs = [ExperimentJob.make("instance", dag, ILP_CFG) for _ in range(2)]
+        jobs = [
+            ExperimentJob.make("portfolio", dag, ILP_CFG, member=ILP_TABLE_SPEC)
+            for _ in range(2)
+        ]
         serial = Session(workers=1).run(jobs)
         parallel = Session(workers=2).run(jobs)
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
@@ -227,15 +235,15 @@ class TestResultsStreamAndResume:
 class TestRunDatasetIntegration:
     def test_run_dataset_serial_equals_parallel(self):
         dags = _dags(2)
-        serial = run_dataset(dags, ILP_CFG)
-        parallel = run_dataset(dags, ILP_CFG, session=Session(workers=2))
+        serial = run_dataset(dags, ILP_CFG, ILP_TABLE_SPEC)
+        parallel = run_dataset(dags, ILP_CFG, ILP_TABLE_SPEC, session=Session(workers=2))
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
 
     def test_run_dataset_uses_cache(self, tmp_path):
         dags = _dags(2)
-        run_dataset(dags, ILP_CFG, session=Session(cache_dir=tmp_path))
+        run_dataset(dags, ILP_CFG, ILP_TABLE_SPEC, session=Session(cache_dir=tmp_path))
         session = Session(workers=1, cache_dir=tmp_path)
-        run_dataset(dags, ILP_CFG, session=session)
+        run_dataset(dags, ILP_CFG, ILP_TABLE_SPEC, session=session)
         assert session.stats.executed == 0
         assert session.stats.cache_hits == 2
 

@@ -4,210 +4,43 @@ The ``repro.pipeline`` redesign deleted the hand-written per-member dispatch
 (``_run_ilp_member`` / ``_two_stage_member`` / ``_run_refined_member``) and
 replaced every portfolio member with a declarative spec executed by one
 generic runner.  These tests pin that the replacement is *behaviour
-preserving*: the **old path** — the pre-redesign dispatch logic, preserved
-verbatim below as the reference implementation — and the **pipeline path**
-(:func:`repro.portfolio.run_member`) produce byte-identical
-``InstanceResult`` fingerprints for every legacy member name.
+preserving*: ``golden_member_fingerprints.json`` holds the
+``InstanceResult`` fingerprints the pre-redesign dispatch produced for every
+legacy member name, and the **pipeline path**
+(:func:`repro.portfolio.run_member`, and the Session route in front of it)
+must reproduce them byte for byte.
 
-All ILP solves are node-limited with a step cap, so the comparison is exact
-and reproducible under load.  The single intentional divergence is pinned in
-:class:`TestKnownDivergence`: a *pruned* ``dac+refine`` now keeps the dac
-stage's ``parts`` diagnostic in ``extra_costs`` (the old path dropped it).
+The reference dispatch itself used to live in this module, frozen
+verbatim; it called the hand-written table runners (``run_instance``,
+``run_divide_and_conquer_instance``), so it was captured into the JSON file
+before those runners were deleted.  Every case was captured: the spmv DAG
+(all members), the single-processor chain, the bound-pruned results, the
+slow tiny-dataset sweep and the pruned ``dac+refine`` of
+:class:`TestKnownDivergence`.
+
+All ILP solves are node-limited with a step cap under the ``scipy``
+backend, so the comparison is exact and reproducible under load.  The
+single intentional divergence is pinned in :class:`TestKnownDivergence`: a
+*pruned* ``dac+refine`` now keeps the dac stage's ``parts`` diagnostic in
+``extra_costs`` (the old path dropped it).
 """
 
-import math
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
-from repro.exceptions import ConfigurationError
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InstanceResult,
-    run_divide_and_conquer,
-    run_divide_and_conquer_instance,
-    run_instance,
-)
-from repro.core.scheduler import MbspIlpScheduler
-from repro.core.two_stage import TwoStageResult, baseline_schedule, run_two_stage
-from repro.portfolio import available_members, run_member, schedule_digest
-from repro.refine import RefineConfig, Refiner
-from repro.theory.bounds import instance_lower_bound
+from repro.experiments.runner import ExperimentConfig
+from repro.portfolio import available_members, run_member
+from repro.refine import RefineConfig
 
-# ----------------------------------------------------------------------
-# the old path: the pre-redesign run_member dispatch, frozen verbatim
-# ----------------------------------------------------------------------
 PRUNED_STATUS_PREFIX = "skipped:"
 
-
-def _within_gap(cost, bound, prune_gap):
-    return cost <= (1.0 + prune_gap) * bound + 1e-9
-
-
-def _legacy_two_stage_member(dag, config, scheduler, policy, instance=None):
-    if instance is None:
-        instance = config.instance_for(dag)
-    bsp_ilp_config = None
-    if scheduler in ("bsp-ilp", "bsp_ilp", "ilp"):
-        from repro.bsp.ilp import BspIlpConfig
-        from repro.ilp import SolverOptions
-
-        bsp_ilp_config = BspIlpConfig(
-            solver_options=SolverOptions(
-                time_limit=config.ilp_time_limit, node_limit=config.ilp_node_limit
-            ),
-            backend=config.ilp_backend,
-        )
-    return run_two_stage(
-        instance,
-        scheduler=scheduler,
-        policy=policy or None,
-        synchronous=config.synchronous,
-        seed=config.seed,
-        bsp_ilp_config=bsp_ilp_config,
-    ), instance
-
-
-def _legacy_inapplicable(dag, exc):
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=math.inf,
-        ilp_cost=math.inf,
-        solver_status=f"inapplicable: {exc}",
-        extra_costs={"member_cost": math.inf},
-    )
-
-
-def _legacy_ilp_member(dag, config, prune_gap):
-    if prune_gap is None or prune_gap < 0:
-        return run_instance(dag, config)
-    instance = config.instance_for(dag)
-    bound = instance_lower_bound(instance, synchronous=config.synchronous)
-    base = baseline_schedule(instance, synchronous=config.synchronous, seed=config.seed)
-    if not _within_gap(base.cost, bound, prune_gap):
-        return run_instance(dag, config, instance=instance, baseline=base)
-    reason = (
-        f"{PRUNED_STATUS_PREFIX} baseline cost {base.cost:g} is within "
-        f"{prune_gap:.1%} of the lower bound {bound:g}; ILP solve pruned"
-    )
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=base.cost,
-        ilp_cost=base.cost,
-        solver_status=reason,
-        extra_costs={"member_cost": base.cost, "lower_bound": bound, "pruned": 1.0},
-    )
-
-
-def _legacy_refined_member(dag, config, member, prune_gap):
-    base = member[: -len("+refine")]
-    prune = prune_gap is not None and prune_gap >= 0
-    refiner = Refiner(config.refine)
-
-    def refined_result(schedule, unrefined_cost, baseline_cost):
-        refined = refiner.refine(schedule, synchronous=config.synchronous)
-        cost = min(refined.final_cost, unrefined_cost)
-        return InstanceResult(
-            instance_name=dag.name,
-            num_nodes=dag.num_nodes,
-            baseline_cost=baseline_cost,
-            ilp_cost=cost,
-            solver_status=f"schedule:{schedule_digest(refined.schedule)}",
-            extra_costs={"member_cost": cost, **refined.telemetry(unrefined_cost)},
-        )
-
-    def pruned_result(cost, bound):
-        reason = (
-            f"{PRUNED_STATUS_PREFIX} base cost {cost:g} is within "
-            f"{prune_gap:.1%} of the lower bound {bound:g}; refinement pruned"
-        )
-        return InstanceResult(
-            instance_name=dag.name,
-            num_nodes=dag.num_nodes,
-            baseline_cost=cost,
-            ilp_cost=cost,
-            solver_status=reason,
-            extra_costs={"member_cost": cost, "lower_bound": bound, "pruned": 1.0},
-        )
-
-    instance = config.instance_for(dag) if (prune or base == "ilp") else None
-    bound = None
-    if prune and (base == "ilp" or base in ("dac", "divide-and-conquer")):
-        bound = instance_lower_bound(instance, synchronous=config.synchronous)
-
-    if base == "ilp":
-        baseline = baseline_schedule(
-            instance, synchronous=config.synchronous, seed=config.seed
-        )
-        if prune and _within_gap(baseline.cost, bound, prune_gap):
-            return pruned_result(baseline.cost, bound)
-        refined_base = refiner.refine(
-            baseline.mbsp_schedule, synchronous=config.synchronous
-        )
-        seeded = TwoStageResult(
-            bsp_schedule=baseline.bsp_schedule,
-            mbsp_schedule=refined_base.schedule,
-            cost=refined_base.final_cost,
-            scheduler_name=f"{baseline.scheduler_name}+refine",
-            policy_name=baseline.policy_name,
-        )
-        ilp = MbspIlpScheduler(config.ilp_config()).schedule(instance, baseline=seeded)
-        result = refined_result(ilp.best_schedule, ilp.best_cost, baseline.cost)
-        result.solver_status = f"{ilp.solver_status}; {result.solver_status}"
-        result.solve_time = ilp.solve_time
-        return result
-    if base in ("dac", "divide-and-conquer"):
-        dac = run_divide_and_conquer(dag, config, instance=instance)
-        if prune and _within_gap(dac.dac_cost, bound, prune_gap):
-            result = pruned_result(dac.dac_cost, bound)
-            result.baseline_cost = dac.baseline.cost
-            return result
-        result = refined_result(dac.dac_schedule, dac.dac_cost, dac.baseline.cost)
-        result.extra_costs["parts"] = float(dac.partition.num_parts)
-        return result
-    scheduler, _, policy = base.partition("+")
-    try:
-        two_stage, instance = _legacy_two_stage_member(
-            dag, config, scheduler, policy, instance=instance
-        )
-    except ConfigurationError as exc:
-        return _legacy_inapplicable(dag, exc)
-    if prune:
-        bound = instance_lower_bound(instance, synchronous=config.synchronous)
-        if _within_gap(two_stage.cost, bound, prune_gap):
-            return pruned_result(two_stage.cost, bound)
-    return refined_result(two_stage.mbsp_schedule, two_stage.cost, two_stage.cost)
-
-
-def legacy_run_member(dag, config, member, prune_gap=None):
-    """The pre-redesign ``run_member``, verbatim (the golden reference)."""
-    name = member.strip().lower()
-    if name.endswith("+refine"):
-        return _legacy_refined_member(dag, config, name, prune_gap)
-    if name == "ilp":
-        result = _legacy_ilp_member(dag, config, prune_gap)
-        result.extra_costs["member_cost"] = result.ilp_cost
-        return result
-    if name in ("dac", "divide-and-conquer"):
-        result = run_divide_and_conquer_instance(dag, config)
-        result.extra_costs["member_cost"] = result.ilp_cost
-        return result
-    scheduler, sep, policy = name.partition("+")
-    try:
-        two_stage, _ = _legacy_two_stage_member(dag, config, scheduler, policy)
-    except ConfigurationError as exc:
-        return _legacy_inapplicable(dag, exc)
-    return InstanceResult(
-        instance_name=dag.name,
-        num_nodes=dag.num_nodes,
-        baseline_cost=two_stage.cost,
-        ilp_cost=two_stage.cost,
-        solver_status=f"schedule:{schedule_digest(two_stage.mbsp_schedule)}",
-        extra_costs={"member_cost": two_stage.cost},
-    )
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_member_fingerprints.json").read_text()
+)
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +51,8 @@ def _roundtrip(dag):
 
     Engine/session jobs have always shipped DAGs in their plain-dict form
     (``ExperimentJob.dag_data``); schedulers whose tie-breaking follows
-    node iteration order (cilk work stealing) are only bit-comparable when
-    both paths see the identically-ordered graph.
+    node iteration order (cilk work stealing) only reproduce the pins when
+    they see the graph in the order it was captured with.
     """
     from repro.dag.io import dag_from_dict, dag_to_dict
 
@@ -234,13 +67,15 @@ def _spmv_dag():
 
 
 # node-limited, step-capped solves: exactly reproducible under load, and
-# cheap enough that every member runs in the tier-1 suite
+# cheap enough that every member runs in the tier-1 suite; the backend is
+# fixed because the pins are HiGHS results
 CFG = ExperimentConfig(
     name="pipeline-equivalence",
     num_processors=2,
     ilp_time_limit=30.0,
     ilp_node_limit=30,
     step_cap=4,
+    ilp_backend="scipy",
     refine=RefineConfig(budget=300),
 )
 P1 = CFG.variant(num_processors=1)
@@ -264,20 +99,16 @@ def session_run_member(dag, config, member, prune_gap=None):
 
 @pytest.mark.parametrize("member", available_members())
 def test_legacy_member_fingerprints_identical(member):
-    dag = _spmv_dag()
-    old = legacy_run_member(dag, CFG, member)
-    new = session_run_member(dag, CFG, member)
-    assert new.fingerprint() == old.fingerprint()
+    new = session_run_member(_spmv_dag(), CFG, member)
+    assert new.fingerprint() == GOLDEN["spmv"][member]
 
 
 @pytest.mark.parametrize(
     "member", ["dfs+clairvoyant", "dfs+clairvoyant+refine", "ilp", "ilp+refine"]
 )
 def test_single_processor_fingerprints_identical(member):
-    dag = chain_dag(5)
-    old = legacy_run_member(dag, P1, member)
-    new = run_member(dag, P1, member)
-    assert new.fingerprint() == old.fingerprint()
+    new = run_member(chain_dag(5), P1, member)
+    assert new.fingerprint() == GOLDEN["single_processor"][member]
 
 
 @pytest.mark.parametrize(
@@ -286,11 +117,9 @@ def test_single_processor_fingerprints_identical(member):
 def test_pruned_fingerprints_identical(member):
     """Bound-pruned results (skip status, extras) match the old path too —
     through the Session-backed route, prune gap and all."""
-    dag = _roundtrip(chain_dag(5))
-    old = legacy_run_member(dag, P1, member, prune_gap=0.0)
-    new = session_run_member(dag, P1, member, prune_gap=0.0)
-    assert old.solver_status.startswith(PRUNED_STATUS_PREFIX)
-    assert new.fingerprint() == old.fingerprint()
+    new = session_run_member(_roundtrip(chain_dag(5)), P1, member, prune_gap=0.0)
+    assert new.solver_status.startswith(PRUNED_STATUS_PREFIX)
+    assert new.fingerprint() == GOLDEN["pruned"][member]
 
 
 @pytest.mark.slow
@@ -299,9 +128,8 @@ def test_legacy_member_fingerprints_identical_on_tiny_dataset(member):
     from repro.experiments.datasets import tiny_dataset
 
     for dag in tiny_dataset(limit=3):
-        old = legacy_run_member(dag, CFG, member)
         new = run_member(dag, CFG, member)
-        assert new.fingerprint() == old.fingerprint()
+        assert new.fingerprint() == GOLDEN["tiny_dataset"][dag.name][member]
 
 
 class TestKnownDivergence:
@@ -309,10 +137,8 @@ class TestKnownDivergence:
         """The one intentional improvement over the old path: a pruned
         ``dac+refine`` no longer drops the dac stage's ``parts`` extra.
         Everything else about the result is unchanged."""
-        dag = chain_dag(5)
-        old = legacy_run_member(dag, P1, "dac+refine", prune_gap=0.0)
-        new = run_member(dag, P1, "dac+refine", prune_gap=0.0)
-        old_fp, new_fp = old.fingerprint(), new.fingerprint()
+        new = run_member(chain_dag(5), P1, "dac+refine", prune_gap=0.0)
+        old_fp, new_fp = GOLDEN["pruned_dac_refine"], new.fingerprint()
         assert new_fp["extra_costs"].pop("parts") == 1.0
         assert "parts" not in old_fp["extra_costs"]
         assert new_fp == old_fp

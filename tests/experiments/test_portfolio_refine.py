@@ -21,7 +21,6 @@ from repro.portfolio import (
     REFINE_SUFFIX,
     Portfolio,
     available_members,
-    base_member_name,
     is_pruned,
     is_prunable_member,
     is_refined_member,
@@ -44,13 +43,11 @@ class TestRefinedMemberNaming:
         refined = [m for m in members if m.endswith(REFINE_SUFFIX)]
         base = [m for m in members if not m.endswith(REFINE_SUFFIX)]
         assert len(refined) == len(base)
-        assert set(base_member_name(m) for m in refined) == set(base)
+        assert {m[: -len(REFINE_SUFFIX)] for m in refined} == set(base)
 
     def test_refined_member_predicates(self):
         assert is_refined_member("bspg+clairvoyant+refine")
         assert not is_refined_member("bspg+clairvoyant")
-        assert base_member_name("ilp+refine") == "ilp"
-        assert base_member_name("cilk+lru") == "cilk+lru"
         assert is_prunable_member("ilp")
         assert is_prunable_member("dac+refine")
         assert is_prunable_member("bspg+clairvoyant+refine")
@@ -100,17 +97,17 @@ class TestRefinedMemberExecution:
         assert seeded.ilp_cost <= plain.ilp_cost + 1e-9
 
     def test_dac_runner_honours_config_refine_enabled(self):
-        """`experiment --table 2 --refine` routes through here: the dac
-        per-instance runner must post-optimize when config.refine.enabled."""
-        from repro.experiments.runner import run_divide_and_conquer_instance
+        """`experiment --table 2 --refine` routes through here: the table
+        runner must append a refine stage when config.refine.enabled."""
+        from repro.experiments.runner import run_dataset
 
         dag = _tiny_dag()
         # node-limited solves keep both runs deterministic under load, so the
         # cross-run cost comparison cannot flake on solver wall time
         cfg = CFG.variant(ilp_time_limit=30.0, ilp_node_limit=50)
-        plain = run_divide_and_conquer_instance(dag, cfg)
-        refined = run_divide_and_conquer_instance(
-            dag, cfg.variant(refine=RefineConfig(enabled=True))
+        [plain] = run_dataset([dag], cfg, "dac")
+        [refined] = run_dataset(
+            [dag], cfg.variant(refine=RefineConfig(enabled=True)), "dac"
         )
         assert refined.ilp_cost <= refined.extra_costs["unrefined_cost"] + 1e-9
         assert refined.extra_costs["unrefined_cost"] == pytest.approx(plain.ilp_cost)

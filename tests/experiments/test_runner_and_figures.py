@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments.figures import RatioSeries, render_figure4, theorem41_comparison
 from repro.experiments.runner import (
+    ILP_TABLE_SPEC,
     ExperimentConfig,
     _env_float,
     _env_int,
@@ -16,11 +17,10 @@ from repro.experiments.runner import (
     dataset_scale,
     env_bench_workers,
     env_cache_dir,
-    run_divide_and_conquer_instance,
-    run_instance,
     run_instance_with_baselines,
 )
 from repro.experiments.tables import geomean_summary, table4_configurations
+from repro.portfolio import run_member
 from repro.dag.generators import fork_join_dag, simple_pagerank
 from repro.dag.analysis import assign_random_memory_weights
 
@@ -157,7 +157,8 @@ class TestEnvParsingHelpers:
 
 class TestRunners:
     def test_run_instance_reports_consistent_costs(self, tiny_dag):
-        result = run_instance(tiny_dag, FAST)
+        """The ILP table pipeline on one instance."""
+        result = run_member(tiny_dag, FAST, ILP_TABLE_SPEC)
         assert result.instance_name == "tiny_forkjoin"
         assert result.baseline_cost > 0
         assert result.ilp_cost <= result.baseline_cost + 1e-9
@@ -172,19 +173,70 @@ class TestRunners:
 
     @pytest.mark.slow
     def test_run_divide_and_conquer_instance(self):
+        """The Table 2 pipeline on one instance."""
         dag = simple_pagerank(num_blocks=3, iterations=2, seed=3)
         assign_random_memory_weights(dag, seed=3)
         dag.name = "tiny_pagerank"
         config = ExperimentConfig(name="dac_test", num_processors=2, cache_factor=5.0, ilp_time_limit=1.0)
-        result = run_divide_and_conquer_instance(dag, config, max_part_size=10)
+        result = run_member(dag, config, "dac(max_part_size=10)")
         assert result.baseline_cost > 0
         assert result.ilp_cost > 0
         assert result.extra_costs["parts"] >= 1
 
     def test_geomean_summary(self, tiny_dag):
-        result = run_instance(tiny_dag, FAST)
+        result = run_member(tiny_dag, FAST, ILP_TABLE_SPEC)
         summary = geomean_summary({"base": [result]})
         assert summary["base"] == pytest.approx(result.ratio)
+
+
+class TestTableSpecs:
+    """Every table except Table 3 submits one canonical pipeline spec."""
+
+    def test_each_table_submits_its_spec(self, monkeypatch):
+        from repro.experiments import tables
+
+        submitted = []
+
+        def fake_run_dataset(dags, config, spec, verbose=False, session=None):
+            submitted.append((config.name, spec))
+            return []
+
+        monkeypatch.setattr(tables, "run_dataset", fake_run_dataset)
+        monkeypatch.setattr(tables, "_small", lambda limit=None: [])
+        base = ExperimentConfig(name="base")
+        tables.table1(base, limit=1)
+        tables.table4(base, limit=1)
+        tables.p1_experiment(base, limit=1)
+        tables.recomputation_ablation(base, limit=1)
+        tables.table2(limit=1, max_part_size=8)
+        ilp_tables = ["base", "base", "r5", "r1", "p8", "L0", "async", "p1",
+                      "base", "no_recompute"]
+        assert submitted == [(name, ILP_TABLE_SPEC) for name in ilp_tables] + [
+            ("table2", "dac(max_part_size=8)")
+        ]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_jobs_record_the_canonical_spec(self, tiny_dag, tmp_path, refine):
+        """The results file names each job's canonical pipeline (the
+        legacy ``ilp`` alias resolves to :data:`ILP_TABLE_SPEC`);
+        ``refine.enabled`` appends a refine stage, and the rows repeat the
+        cost as ``member_cost``."""
+        from repro.exec import Session
+        from repro.experiments.reporting import iter_jsonl_records
+        from repro.experiments.runner import run_dataset
+        from repro.refine import RefineConfig
+
+        config = FAST.variant(ilp_node_limit=3, step_cap=4,
+                              refine=RefineConfig(enabled=refine, budget=50))
+        path = tmp_path / "results.jsonl"
+        [result] = run_dataset([tiny_dag], config, "ilp",
+                               session=Session(results_path=path))
+        [record] = list(iter_jsonl_records(path))
+        assert record["kind"] == "portfolio"
+        expected = ILP_TABLE_SPEC + ("|refine" if refine else "")
+        assert record["member"] == expected
+        assert result.extra_costs["member_cost"] == result.ilp_cost
+        assert ("unrefined_cost" in result.extra_costs) == refine
 
 
 class TestFigures:

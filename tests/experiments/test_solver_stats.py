@@ -8,7 +8,7 @@ from repro.dag.analysis import assign_random_memory_weights
 from repro.dag.generators import chain_dag, spmv
 from repro.exec import Session
 from repro.experiments.parallel import ExperimentJob
-from repro.experiments.runner import ExperimentConfig, InstanceResult
+from repro.experiments.runner import ILP_TABLE_SPEC, ExperimentConfig, InstanceResult
 from repro.ilp.backends import SolverCallStats
 
 
@@ -50,7 +50,7 @@ class TestSolverCallStatsDelta:
 class TestEngineAttachesSolverStats:
     def test_instance_job_records_one_solve(self):
         result = Session().run(
-            [ExperimentJob.make("instance", _dag(), CFG)]
+            [ExperimentJob.make("portfolio", _dag(), CFG, member=ILP_TABLE_SPEC)]
         )[0]
         assert result.solver_stats["solver_calls"] == 1.0
         assert result.solver_stats[f"solver_calls[{CFG.ilp_backend}]"] == 1.0
@@ -69,7 +69,7 @@ class TestEngineAttachesSolverStats:
     def test_stats_reach_the_jsonl_results_file(self, tmp_path):
         results_path = tmp_path / "results.jsonl"
         Session(results_path=results_path).run(
-            [ExperimentJob.make("instance", _dag(), CFG)]
+            [ExperimentJob.make("portfolio", _dag(), CFG, member=ILP_TABLE_SPEC)]
         )
         record = json.loads(results_path.read_text().splitlines()[0])
         assert record["result"]["solver_stats"]["solver_calls"] == 1.0
@@ -86,7 +86,7 @@ class TestEngineAttachesSolverStats:
 
     def test_parallel_and_serial_fingerprints_still_agree(self):
         dags = [_dag(seed=1), _dag(seed=2)]
-        jobs = [ExperimentJob.make("instance", dag, CFG) for dag in dags]
+        jobs = [ExperimentJob.make("portfolio", dag, CFG, member=ILP_TABLE_SPEC) for dag in dags]
         serial = Session(workers=1).run(jobs)
         parallel = Session(workers=2).run(jobs)
         assert [r.fingerprint() for r in serial] == [r.fingerprint() for r in parallel]
